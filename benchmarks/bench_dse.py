@@ -14,11 +14,23 @@ only fires when the benchmark actually timed (``--benchmark-disable``
 CI runs still execute everything once for the correctness checks — see
 ``benchmarks/common.py`` on why CI never compares timings).  Medians
 land in ``BENCH_engine.json`` under the ``PR4-dse-campaign`` label.
+
+``test_journaled_warm_campaign`` times the harness alone: a journaled
+192-point grid campaign re-run on a filled :class:`ResultCache`, so no
+point simulates and the time is cache reads, record building and one
+journal checkpoint per 8-point batch.  Checkpoints that re-encoded the
+whole journal each time made this quadratic in the point count; the
+perf gate holds it to its recorded, linear baseline.
 """
 
+import json
+import os
 import time
 
+import pytest
+
 from repro.dse import Campaign, SearchSpace, parse_objectives
+from repro.eval.runner import ResultCache
 from repro.scenarios import default_spec
 from repro.scenarios.run import run_scenarios
 
@@ -96,3 +108,51 @@ def test_halving_campaign_executes(benchmark):
         report(benchmark, "halving campaign over "
                           f"{SPACE.grid_size()} points",
                paid=result.paid, evaluations=len(result.evaluations))
+
+
+#: 192 points: enough checkpoints that re-encoding the whole journal
+#: per batch would dominate the warm run.
+WARM_SPACE = SearchSpace.from_axes({
+    "bins": [1, 2, 4, 8, 16, 64],
+    "variant": ["lrsc", "lrscwait:1", "colibri", "amo"],
+    "seed": list(range(8)),
+})
+
+
+def _journaled_campaign(directory: str) -> Campaign:
+    return Campaign(base=_base(), space=WARM_SPACE, sampler="grid",
+                    objectives=parse_objectives(["min:cycles",
+                                                 "max:throughput"]),
+                    budget=WARM_SPACE.grid_size(),
+                    cache=ResultCache(os.path.join(directory, "cache")),
+                    journal_file=os.path.join(directory, "journal.json"))
+
+
+@pytest.fixture(scope="module")
+def filled_cache(tmp_path_factory):
+    """A campaign directory whose cache holds every point (untimed)."""
+    directory = str(tmp_path_factory.mktemp("warm-campaign"))
+    _journaled_campaign(directory).run()
+    return directory
+
+
+def test_journaled_warm_campaign(benchmark, filled_cache):
+    """A journaled campaign served wholly from the cache."""
+
+    def run():
+        return _journaled_campaign(filled_cache).run()
+
+    result = benchmark(run)
+    points = WARM_SPACE.grid_size()
+    assert result.status == "complete" and result.paid == 0
+    assert len(result.evaluations) == points
+    assert all(e.cache_hit for e in result.evaluations)
+    with open(os.path.join(filled_cache, "journal.json")) as stream:
+        assert stream.read() == json.dumps(result.journal, indent=2,
+                                           sort_keys=True) + "\n"
+    if benchmark.enabled:
+        median = benchmark.stats.stats.median
+        report(benchmark, f"journaled warm campaign: {points} points in "
+                          f"{median * 1e3:.1f} ms "
+                          f"({points / median:.0f} points/s)",
+               points=points, points_per_s=round(points / median, 1))

@@ -31,6 +31,7 @@ from .campaign import Campaign, CampaignResult, Evaluation
 from .journal import (
     JOURNAL_NAME,
     JOURNAL_VERSION,
+    JournalWriter,
     journal_path,
     load_journal,
     write_journal,
@@ -63,6 +64,7 @@ __all__ = [
     "Evaluation",
     "JOURNAL_NAME",
     "JOURNAL_VERSION",
+    "JournalWriter",
     "Objective",
     "Sampler",
     "SearchSpace",

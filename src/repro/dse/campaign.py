@@ -46,6 +46,7 @@ from ..scenarios.run import (
 )
 from ..scenarios.spec import ScenarioSpec
 from .journal import (
+    JournalWriter,
     check_resumable,
     new_journal,
     write_journal,
@@ -129,10 +130,11 @@ class CampaignResult:
         Comparability and ranking are defined once, on journal
         records (:mod:`repro.dse.report`), so the live campaign and
         ``repro frontier`` can never disagree about the same journal.
+        The journal's records are the ones the campaign built as each
+        evaluation landed, one per evaluation, in order.
         """
-        records = [e.to_record() for e in self.evaluations]
         return [self.evaluations[record["index"]]
-                for record in select(records)]
+                for record in select(self.journal["evaluations"])]
 
     def comparable(self) -> list:
         """The evaluations rankings compare (see
@@ -242,6 +244,9 @@ class Campaign:
         self._resume_count = (len(resume["evaluations"])
                               if resume is not None else 0)
         self.header = header
+        #: Built at the first journal write, not here: constructing a
+        #: campaign stays free of journal work.
+        self._writer: Optional[JournalWriter] = None
         # Fail fast on an invalid base/axes combination without paying
         # O(grid) spec validations up front (a 100k-point space with a
         # 20-point budget must not validate 100k specs): check the
@@ -492,12 +497,17 @@ class Campaign:
 
     def _write(self, journal: dict, evaluations: list, paid: int,
                status: str) -> None:
-        journal["evaluations"] = [e.to_record() for e in evaluations]
+        # Evaluations only ever append, so each record is built once,
+        # when it lands; the writer then encodes it once as well.
+        records = journal["evaluations"]
+        records.extend(e.to_record() for e in evaluations[len(records):])
         journal["paid"] = paid
         journal["status"] = status
         if self.journal_file is not None \
                 and len(evaluations) >= self._resume_count:
-            write_journal(self.journal_file, journal)
+            if self._writer is None:
+                self._writer = JournalWriter(self.journal_file)
+            write_journal(self._writer, journal)
             if OBS.events is not None:
                 OBS.events.emit("journal_written",
                                 evaluations=len(evaluations),

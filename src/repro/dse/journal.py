@@ -8,6 +8,13 @@ after every batch, so a killed campaign loses at most the batch in
 flight; ``repro explore --resume DIR`` replays the records instead of
 re-simulating them (see :mod:`repro.dse.campaign`).
 
+The file is always ``json.dumps(document, indent=2, sort_keys=True)``
+plus a newline, byte for byte.  A :class:`JournalWriter` produces those
+bytes without re-encoding the whole document per checkpoint: each
+evaluation record (and the campaign block) is encoded once, when it
+first lands, and later rewrites splice the cached text.  A campaign's
+checkpoints therefore cost linear, not quadratic, encoding work.
+
 Layout is validated by :mod:`repro.dse.schema`; ``repro frontier``
 renders rankings and Pareto frontiers from the journal alone.
 """
@@ -38,21 +45,89 @@ def journal_path(directory: str) -> str:
     return os.path.join(directory, JOURNAL_NAME)
 
 
-def write_journal(path: str, document: dict) -> str:
+class JournalWriter:
+    """Atomic journal rewrites that encode each record only once.
+
+    Every :meth:`write` produces exactly the bytes of
+    ``json.dumps(document, indent=2, sort_keys=True) + "\n"``.  The
+    writer remembers the encoded text of each evaluation record and of
+    the ``campaign`` block, keyed by object identity: a record still
+    present (``is``) at the same position reuses its text, a replaced
+    one is re-encoded.  Written records and campaign blocks are
+    therefore treated as immutable — replace them, never mutate them in
+    place.  The other top-level fields are small and encoded per write.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._records: list = []      # records of the last write ...
+        self._fragments: list = []    # ... and their encoded text
+        self._campaign = None         # (campaign block, its text)
+
+    def write(self, document: dict) -> str:
+        """Atomically write ``document``; returns the path.
+
+        Atomic replace means a kill mid-write leaves the previous
+        journal intact — resume never sees a torn file.
+        """
+        pieces = []
+        separator = "{\n  "
+        for key in sorted(document):
+            value = document[key]
+            pieces += (separator, json.dumps(key), ": ")
+            separator = ",\n  "
+            if key == "evaluations" and isinstance(value, list):
+                pieces += self._evaluations(value)
+            elif key == "campaign":
+                if self._campaign is None or self._campaign[0] is not value:
+                    self._campaign = (value, _encode(value, 1))
+                pieces.append(self._campaign[1])
+            else:
+                pieces.append(_encode(value, 1))
+        pieces.append("\n}\n" if pieces else "{}\n")
+        directory = os.path.dirname(self.path)
+        if directory:
+            os.makedirs(directory, exist_ok=True)
+        tmp = self.path + ".tmp"
+        with open(tmp, "w") as stream:
+            # Pieces, not one joined string: the journal is not copied
+            # again in memory just to be written.
+            stream.writelines(pieces)
+        os.replace(tmp, self.path)
+        return self.path
+
+    def _evaluations(self, records: list) -> list:
+        """The ``evaluations`` array as text pieces, reusing the text of
+        known records."""
+        known, fragments = self._records, self._fragments
+        encoded = [fragments[position]
+                   if position < len(known) and known[position] is record
+                   else "    " + _encode(record, 2)
+                   for position, record in enumerate(records)]
+        self._records, self._fragments = list(records), encoded
+        if not encoded:
+            return ["[]"]
+        return ["[\n", ",\n".join(encoded), "\n  ]"]
+
+
+def _encode(value, depth: int) -> str:
+    """``value`` as ``json.dumps(indent=2, sort_keys=True)`` writes it
+    ``depth`` levels down.  Encoded JSON strings never contain a raw
+    newline, so re-indenting every line is exact."""
+    return json.dumps(value, indent=2, sort_keys=True).replace(
+        "\n", "\n" + "  " * depth)
+
+
+def write_journal(target, document: dict) -> str:
     """Atomically write ``document``; returns the path.
 
-    Atomic replace means a kill mid-write leaves the previous journal
-    intact — resume never sees a torn file.
+    ``target`` is a :class:`JournalWriter` — whose cached record text
+    makes repeated checkpoints of a growing journal cheap — or a plain
+    path for a one-shot write.
     """
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as stream:
-        json.dump(document, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-    os.replace(tmp, path)
-    return path
+    if not isinstance(target, JournalWriter):
+        target = JournalWriter(target)
+    return target.write(document)
 
 
 def load_journal(path: str) -> dict:

@@ -155,29 +155,35 @@ def pareto_front(rows, objectives) -> list:
 
     ``rows`` is a sequence of per-objective value dicts (``{metric:
     value}``); a row is dominated when another row is no worse on every
-    objective and strictly better on at least one.  Returned indices
-    are in input order, so ties and single-objective fronts stay
-    deterministic.
+    objective and strictly better on at least one.  Of exact duplicates
+    only the first occurrence is kept.  Returned indices are in input
+    order, so ties and single-objective fronts stay deterministic.
+
+    One sweep in ``(scores, index)`` order: every row that dominates
+    or duplicates a candidate sorts before it, and every row already
+    dropped is covered by a kept one, so each candidate is checked
+    against the front built so far only.  A score tuple holding a NaN
+    compares with nothing; such rows are only ever dropped as repeats
+    of an earlier row.
     """
     scored = [tuple(obj.canonical(row[obj.metric]) for obj in objectives)
               for row in rows]
+    ordered = []
+    unordered = []
+    for index, score in enumerate(scored):
+        if all(value == value for value in score):
+            ordered.append((score, index))
+        elif score not in [scored[i] for i in unordered]:
+            unordered.append(index)
+    ordered.sort()
     front = []
-    for index, candidate in enumerate(scored):
-        dominated = False
-        for other_index, other in enumerate(scored):
-            if other_index == index:
-                continue
-            if all(o <= c for o, c in zip(other, candidate)) \
-                    and any(o < c for o, c in zip(other, candidate)):
-                dominated = True
-                break
-            # Exact duplicates: keep only the first occurrence.
-            if other == candidate and other_index < index:
-                dominated = True
-                break
-        if not dominated:
-            front.append(index)
-    return front
+    kept = []
+    for score, index in ordered:
+        if not any(all(o <= c for o, c in zip(other, score))
+                   for other in front):
+            front.append(score)
+            kept.append(index)
+    return sorted(kept + unordered)
 
 
 def probe_summaries(report) -> dict:

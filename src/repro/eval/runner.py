@@ -214,7 +214,12 @@ class ResultCache:
         try:
             with open(self._file(key), "rb") as handle:
                 result = pickle.load(handle)
-        except (OSError, pickle.PickleError, EOFError):
+        except Exception:
+            # Unpickling can raise almost anything — a class whose
+            # module or attribute is gone, a truncated or corrupt
+            # stream — and none of it may abort a campaign: an entry
+            # that cannot be loaded is a miss.  KeyboardInterrupt is
+            # not an Exception, so Ctrl-C still propagates.
             self.misses += 1
             if OBS.enabled:
                 OBS.inc("cache.miss")

@@ -16,7 +16,9 @@ Records are tiny and self-describing: pid, role, the writer's last
 event-log sequence number, points completed, the spec hash currently
 simulating, beat counters and timestamps.  Atomic rewrite (temp file +
 ``os.replace``) means a reader never sees a torn record, and a clean
-shutdown removes the file so finished campaigns do not look dead.
+shutdown removes the file so finished campaigns do not look dead.  A
+writer killed mid-beat leaves its temp file behind; the next writer to
+start in the directory deletes it.
 """
 
 from __future__ import annotations
@@ -87,12 +89,32 @@ class Heartbeat:
         self._thread = None
 
     def start(self) -> "Heartbeat":
+        self._remove_orphan_temps()
         self.beat()
         thread = threading.Thread(target=self._run, daemon=True,
                                   name=f"heartbeat-{self.pid}")
         self._thread = thread
         thread.start()
         return self
+
+    def _remove_orphan_temps(self) -> None:
+        """Delete the temp files of dead writers in this directory.
+
+        A writer killed between writing its temp file and the
+        ``os.replace`` leaves ``hb-<pid>.json.tmp`` behind for good;
+        readers never look at it, so it is only debris.  A live pid's
+        temp file may be mid-beat and stays.
+        """
+        directory = os.path.dirname(self.path)
+        for name in os.listdir(directory):
+            if not (name.startswith("hb-") and name.endswith(".json.tmp")):
+                continue
+            pid = name[len("hb-"):-len(".json.tmp")]
+            if pid.isdigit() and not pid_alive(int(pid)):
+                try:
+                    os.remove(os.path.join(directory, name))
+                except OSError:
+                    pass  # another starting writer removed it first
 
     def _run(self) -> None:
         while not self._stop.wait(self.interval):

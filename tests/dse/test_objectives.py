@@ -1,6 +1,7 @@
 """Objectives: parsing, extraction, Pareto fronts, probe summaries."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dse import (
     Objective,
@@ -74,6 +75,51 @@ def test_pareto_front_respects_max_goal():
     objectives = [Objective("throughput", "max")]
     rows = [{"throughput": 1.0}, {"throughput": 3.0}]
     assert pareto_front(rows, objectives) == [1]
+
+
+def brute_force_front(rows, objectives) -> list:
+    """The all-pairs reference: dominated rows and later exact
+    duplicates drop out, survivors stay in input order."""
+    scored = [tuple(obj.canonical(row[obj.metric]) for obj in objectives)
+              for row in rows]
+    front = []
+    for index, candidate in enumerate(scored):
+        dominated = False
+        for other_index, other in enumerate(scored):
+            if other_index == index:
+                continue
+            if all(o <= c for o, c in zip(other, candidate)) \
+                    and any(o < c for o, c in zip(other, candidate)):
+                dominated = True
+                break
+            if other == candidate and other_index < index:
+                dominated = True
+                break
+        if not dominated:
+            front.append(index)
+    return front
+
+
+#: Few distinct values, so ties, duplicates and dominance all occur;
+#: NaN compares with nothing and must not upset the sweep's ordering.
+PARETO_VALUES = st.sampled_from([0, 1, 2, 3, -1.5, 0.0, -0.0, 2.5,
+                                 float("inf"), -float("inf"),
+                                 float("nan")]) \
+    | st.floats(allow_nan=True) | st.integers(-3, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(goals=st.lists(st.sampled_from(["min", "max"]), min_size=1,
+                      max_size=3),
+       values=st.lists(st.lists(PARETO_VALUES, min_size=3, max_size=3),
+                       max_size=25))
+def test_pareto_front_matches_the_brute_force_reference(goals, values):
+    metrics = ["a", "b", "c"][:len(goals)]
+    objectives = [Objective(metric, goal)
+                  for metric, goal in zip(metrics, goals)]
+    rows = [dict(zip(metrics, row)) for row in values]
+    assert pareto_front(rows, objectives) \
+        == brute_force_front(rows, objectives)
 
 
 def test_telemetry_objective_names_probe():

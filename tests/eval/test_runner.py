@@ -150,6 +150,57 @@ def test_cache_write_failure_degrades_gracefully(tmp_path, monkeypatch):
     assert cache.write_errors == 1 and cache.stores == 0
 
 
+#: Pickles that cannot be loaded any more: a class whose module is gone
+#: (``ModuleNotFoundError``) and one whose attribute is gone
+#: (``AttributeError``) — what a renamed or deleted result class leaves
+#: behind in an old cache directory.
+UNLOADABLE = {
+    "missing-module": b"crepro_no_such_module\nResult\n.",
+    "missing-attribute": b"crepro.eval.runner\nNoSuchResult\n.",
+}
+
+
+@pytest.mark.parametrize("payload", sorted(UNLOADABLE))
+def test_unloadable_entry_is_a_counted_miss(tmp_path, payload):
+    cache = ResultCache(str(tmp_path))
+    with open(cache._file(cache._key_for("point")), "wb") as handle:
+        handle.write(UNLOADABLE[payload])
+    sentinel = object()
+    assert cache.lookup_hash("point", sentinel) is sentinel
+    assert (cache.hits, cache.misses) == (0, 1)
+
+
+@pytest.mark.parametrize("payload", sorted(UNLOADABLE))
+def test_unloadable_entry_is_recomputed_by_experiment_calls(tmp_path,
+                                                           payload):
+    """The ExperimentCall ``lookup`` path shares the miss handling."""
+    cache = ResultCache(str(tmp_path))
+    call = _call()
+    with open(cache._file(cache._key(call)), "wb") as handle:
+        handle.write(UNLOADABLE[payload])
+    results = run_experiments([call], jobs=1, cache=cache)
+    assert results[0].throughput > 0
+    assert (cache.hits, cache.misses, cache.stores) == (0, 1, 1)
+    # The recomputed result replaced the unloadable entry.
+    reopened = ResultCache(str(tmp_path))
+    run_experiments([call], jobs=1, cache=reopened)
+    assert (reopened.hits, reopened.misses) == (1, 0)
+
+
+def test_interrupt_while_loading_an_entry_propagates(tmp_path,
+                                                     monkeypatch):
+    import repro.eval.runner as runner_module
+    cache = ResultCache(str(tmp_path))
+    run_experiments([_call()], jobs=1, cache=cache)
+
+    def interrupted(_handle):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(runner_module.pickle, "load", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        ResultCache(str(tmp_path)).lookup(_call())
+
+
 def test_cache_clear_drops_entries(tmp_path):
     cache = ResultCache(str(tmp_path))
     run_experiments([_call()], jobs=1, cache=cache)

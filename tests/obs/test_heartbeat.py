@@ -89,6 +89,21 @@ def test_read_heartbeats_skips_torn_and_foreign_files(tmp_path):
     monitor.stop()
 
 
+def test_start_removes_temp_files_of_dead_writers(tmp_path):
+    # A writer SIGKILLed between its temp write and the replace leaves
+    # its temp file behind; a live writer's temp file may be mid-beat.
+    dead = tmp_path / f"hb-{2 ** 22 + 12345}.json.tmp"
+    live = tmp_path / f"hb-{os.getppid()}.json.tmp"
+    orphan_record = tmp_path / f"hb-{2 ** 22 + 12345}.json"
+    for path in (dead, live, orphan_record):
+        path.write_text("{}")
+    monitor = Heartbeat(str(tmp_path), interval=9.0).start()
+    monitor.stop()
+    assert not dead.exists()
+    assert live.exists()
+    assert orphan_record.exists()
+
+
 def test_read_heartbeats_missing_directory_is_empty(tmp_path):
     assert read_heartbeats(str(tmp_path / "absent")) == []
 
