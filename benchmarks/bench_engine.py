@@ -8,10 +8,16 @@ variant API: adapter construction and capability queries now go
 through a registry lookup, which must stay within noise of the
 ``PR1-fast-path`` end-to-end baseline (the registry sits on the
 machine-build path, never in the event loop).
+``test_paper_scale_colibri_point`` is the one point at the paper's 256
+cores: the per-request message path (core → network → bank → adapter →
+response) dominates there, so the perf gate sees a hot-path regression
+at the scale the figures are reproduced at.
 """
 
 from repro import Machine, SystemConfig, VariantSpec
 from repro.engine.simulator import Simulator
+from repro.eval import fig3
+from repro.scenarios import run_scenario
 
 from common import NOISE_FACTOR, baseline_median
 
@@ -105,3 +111,12 @@ def test_variant_registry_dispatch(benchmark):
         f"registry-dispatch build+run median {median:.6f}s exceeds "
         f"{budget:.6f}s — variant-registry dispatch regressed the "
         f"machine-build/fast path")
+
+
+def test_paper_scale_colibri_point(benchmark):
+    """Fig. 3's Colibri point at 64 bins on the paper's 256 cores."""
+    spec = fig3.point_spec("Colibri", 64, num_cores=256, seed=0)
+
+    result = benchmark(run_scenario, spec)
+    # Pinned to the event stream: a hot-path change must not move it.
+    assert (result.cycles, result.messages) == (1616, 11486)

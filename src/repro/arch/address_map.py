@@ -43,16 +43,26 @@ class AddressMap:
         return addr // self.word_bytes
 
     def bank_of(self, addr: int) -> int:
-        """Bank holding the given byte address."""
-        return self.word_index(addr) % self.num_banks
+        """Bank holding the given byte address.
+
+        Decodes in one call (every request pays it): the alignment and
+        range tests run inline and :meth:`check` runs only on failure,
+        to raise its error.
+        """
+        if addr % self.word_bytes or not 0 <= addr < self.memory_bytes:
+            self.check(addr)
+        return addr // self.word_bytes % self.num_banks
 
     def row_of(self, addr: int) -> int:
         """Row (word offset inside its bank) of the given byte address."""
         return self.word_index(addr) // self.num_banks
 
     def locate(self, addr: int) -> tuple:
-        """``(bank, row)`` of the given byte address."""
-        word = self.word_index(addr)
+        """``(bank, row)`` of the given byte address (one call, as
+        :meth:`bank_of`)."""
+        if addr % self.word_bytes or not 0 <= addr < self.memory_bytes:
+            self.check(addr)
+        word = addr // self.word_bytes
         return word % self.num_banks, word // self.num_banks
 
     # -- inverse mapping ---------------------------------------------------------

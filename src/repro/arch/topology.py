@@ -24,11 +24,12 @@ class Topology:
         self._cores_per_tile = config.cores_per_tile
         self._banks_per_tile = config.banks_per_tile
         self._tiles_per_group = config.tiles_per_group
-        #: (core_tile, bank_tile) -> (class, latency, hops).  Distance
-        #: depends only on the tile pair, so this stays small (#tiles²)
-        #: and turns the per-message divisions and string compares of
-        #: the naive path into one dict hit.
-        self._route_cache: dict = {}
+        self._num_tiles = config.num_tiles
+        #: ``(class, latency, hops)`` per tile pair, flat at index
+        #: ``core_tile * num_tiles + bank_tile``.  Distance depends only
+        #: on the tile pair, so this stays small (#tiles²); entries are
+        #: filled on first use, so building a machine computes none.
+        self._routes: list = [None] * (self._num_tiles * self._num_tiles)
 
     # -- placement ---------------------------------------------------------
 
@@ -66,12 +67,16 @@ class Topology:
         The single topology query of the message hot path: all three
         values come from one memoized tile-pair lookup.  A network
         model with different geometry overrides :meth:`_compute_route`.
+        Both ids must be in range (the address map guarantees it for
+        banks); the flat table does not check.
         """
-        key = (core_id // self._cores_per_tile,
-               bank_id // self._banks_per_tile)
-        cached = self._route_cache.get(key)
+        core_tile = core_id // self._cores_per_tile
+        bank_tile = bank_id // self._banks_per_tile
+        index = core_tile * self._num_tiles + bank_tile
+        cached = self._routes[index]
         if cached is None:
-            cached = self._route_cache[key] = self._compute_route(*key)
+            cached = self._routes[index] = self._compute_route(core_tile,
+                                                               bank_tile)
         return cached
 
     def _compute_route(self, core_tile: int, bank_tile: int) -> tuple:

@@ -23,7 +23,8 @@ from typing import Generator, Optional
 from ..engine.errors import KernelError, ProtocolViolation
 from ..engine.simulator import Simulator
 from ..engine.stats import CoreStats
-from ..interconnect.messages import MemRequest, MemResponse, Op, Status, WAIT_OPS
+from ..interconnect.messages import (
+    MemRequest, MemResponse, Op, Status, _req_ids)
 from ..interconnect.network import Network
 from ..arch.address_map import AddressMap
 from .api import Compute, MemCmd, Retire
@@ -132,6 +133,10 @@ class Core:
                     f"kernel on core {self.core_id} raised "
                     f"{type(exc).__name__}: {exc}") from exc
             send_value = None
+            # Memory commands dominate, so they are tested first.
+            if isinstance(cmd, MemCmd):
+                self._issue(cmd)
+                return
             if isinstance(cmd, Compute):
                 if cmd.cycles <= 0:
                     continue
@@ -142,9 +147,6 @@ class Core:
             if isinstance(cmd, Retire):
                 self.stats.ops_completed += cmd.count
                 continue
-            if isinstance(cmd, MemCmd):
-                self._issue(cmd)
-                return
             raise KernelError(
                 f"core {self.core_id}: kernel yielded {cmd!r}, expected "
                 f"Compute/Retire/MemCmd")
@@ -169,24 +171,30 @@ class Core:
 
     def _issue(self, cmd: MemCmd) -> None:
         """Spend the issue cycle, then inject the request."""
-        req = MemRequest(op=cmd.op, core_id=self.core_id, addr=cmd.addr,
-                         value=cmd.value, expected=cmd.expected,
-                         issued_at=self.sim.now)
-        self.stats.active_cycles += 1
-        self.stats.instructions += 1
-        self.stats.count_request(cmd.op.value)
+        sim = self.sim
+        op = cmd.op
+        # Positional build; the req_id is drawn here, as the field's
+        # default factory would.
+        req = MemRequest(op, self.core_id, cmd.addr, cmd.value,
+                         cmd.expected, next(_req_ids), sim.now)
+        stats = self.stats
+        stats.active_cycles += 1
+        stats.instructions += 1
+        requests = stats.requests
+        requests[op.mnemonic] = requests.get(op.mnemonic, 0) + 1
         self._outstanding = req
-        self._set_state(SLEEPING if cmd.op in WAIT_OPS else STALLED)
+        self._set_state(SLEEPING if op.is_wait else STALLED)
         # The request leaves the core after the 1-cycle issue stage.
-        self.sim.schedule(1, self._send, arg=req)
+        sim.schedule(1, self._send, arg=req)
 
     def _send(self, req: MemRequest) -> None:
         self._wait_started = self.sim.now
         bank_id = self.address_map.bank_of(req.addr)
-        if req.op in WAIT_OPS:
+        op = req.op
+        if op.is_wait:
             if not self.qnode.try_issue_wait(req, bank_id):
                 return  # stalled inside the Qnode; released later
-        elif req.op is Op.SCWAIT:
+        elif op is Op.SCWAIT:
             # The SCwait passes the Qnode on its way out (Fig. 2 / 6).
             self.network.send_request(req, bank_id)
             self.qnode.on_scwait_pass()
@@ -221,10 +229,10 @@ class Core:
         self._advance(resp)
 
     def _account_status(self, resp: MemResponse) -> None:
-        if resp.op in (Op.SC, Op.SCWAIT):
+        if resp.op.is_sc:
             if resp.status is Status.OK:
                 self.stats.sc_successes += 1
             else:
                 self.stats.sc_failures += 1
-        elif resp.op in WAIT_OPS and resp.status is Status.QUEUE_FULL:
+        elif resp.op.is_wait and resp.status is Status.QUEUE_FULL:
             self.stats.wait_rejections += 1

@@ -123,7 +123,7 @@ class Qnode:
         """Filter every memory response on its way into the core."""
         if resp.op is Op.SCWAIT:
             self._resolve_exit(resp)
-        elif resp.op in (Op.LRWAIT, Op.MWAIT):
+        elif resp.op.is_wait:
             if resp.status is Status.QUEUE_FULL:
                 self._disarm()  # never enqueued
             elif resp.op is Op.MWAIT:
@@ -186,6 +186,5 @@ class Qnode:
 
     def _emit_wakeup(self, successor: int) -> None:
         assert self.armed_addr is not None and self.armed_bank is not None
-        self._send_wakeup(WakeUpRequest(
-            bank_id=self.armed_bank, addr=self.armed_addr,
-            from_core=self.core_id, successor=successor))
+        self._send_wakeup(WakeUpRequest(self.armed_bank, self.armed_addr,
+                                        self.core_id, successor))

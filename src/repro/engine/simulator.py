@@ -13,13 +13,26 @@ Hot-path design
 ``schedule``/``schedule_at`` allocate nothing but the raw heap entry —
 no :class:`~repro.engine.events.Event` handle — because no modelled
 component ever cancels (use :meth:`Simulator.schedule_event` when you
-need a cancellable handle).  The run loop drains the heap directly with
-:mod:`heapq`, writes the clock only when the cycle actually changes (a
-burst of same-cycle events costs one clock update, and the runaway /
-monotonicity guards run per cycle instead of per event), and hoists the
-``until`` predicate out of the loop entirely when none is installed.
+need a cancellable handle).  One private loop, :meth:`Simulator._drain`,
+serves :meth:`~Simulator.run` (with or without ``until``) and
+:meth:`~Simulator.run_for`.  It drains the heap directly with
+:mod:`heapq` and writes the clock only when the cycle actually changes:
+a burst of same-cycle events costs one clock update, and the
+runaway / monotonicity / deadline guards run per cycle instead of per
+event.  The ``until`` predicate is called only when one is installed.
 Together with the C-speed list-entry comparisons this roughly halves
 the per-event cost of the seed kernel (see ``BENCH_engine.json``).
+
+The heap itself is a small share of a simulation (``heappush`` +
+``heappop`` are ~5% of a cProfile of the 256-core paper points), which
+is why it is not replaced by a calendar queue.  The cost is the Python
+call chain of each memory request (core → network → bank → adapter →
+response), so those paths avoid per-message indirection:
+they read :class:`~repro.interconnect.messages.Op`'s precomputed
+attributes (``mnemonic``, ``is_wait``...) instead of frozenset
+membership and ``Op.value``, bump the message/request counters in
+place, build messages positionally, decode addresses in one call and
+look routes up in a flat tile-pair list.
 """
 
 from __future__ import annotations
@@ -131,8 +144,7 @@ class Simulator:
 
     # -- run loop ------------------------------------------------------------
 
-    def run(self, until: Optional[Callable[[], bool]] = None,
-            _heappop=heappop) -> int:
+    def run(self, until: Optional[Callable[[], bool]] = None) -> int:
         """Drain events until done; return the final cycle.
 
         ``until`` is an optional predicate evaluated after every event;
@@ -142,89 +154,80 @@ class Simulator:
         raised with the agent list — this is the §III progress-guarantee
         failure mode made observable.
         """
-        heap = self._heap
-        max_cycles = self.max_cycles
-        no_arg = NO_ARG
-        now = self.now
-        if until is None:
-            while heap:
-                entry = _heappop(heap)
-                fn = entry[3]
-                if fn is None:          # cancelled, dropped lazily
-                    continue
-                cycle = entry[0]
-                if cycle != now:
-                    if cycle > max_cycles:
-                        raise SimulationError(
-                            f"exceeded max_cycles={max_cycles} "
-                            f"(runaway simulation?)")
-                    if cycle < now:
-                        raise SimulationError(
-                            "event queue went backwards in time")
-                    now = self.now = cycle
-                arg = entry[4]
-                if arg is no_arg:
-                    fn()
-                else:
-                    fn(arg)
-        else:
-            while heap:
-                entry = _heappop(heap)
-                fn = entry[3]
-                if fn is None:
-                    continue
-                cycle = entry[0]
-                if cycle != now:
-                    if cycle > max_cycles:
-                        raise SimulationError(
-                            f"exceeded max_cycles={max_cycles} "
-                            f"(runaway simulation?)")
-                    if cycle < now:
-                        raise SimulationError(
-                            "event queue went backwards in time")
-                    now = self.now = cycle
-                arg = entry[4]
-                if arg is no_arg:
-                    fn()
-                else:
-                    fn(arg)
-                if until():
-                    self._finished = True
-                    return now
-        blocked = self._blocked_agents()
-        if blocked:
-            raise DeadlockError(
-                "event queue drained with blocked agents: "
-                + "; ".join(blocked))
+        if not self._drain(until, None):
+            blocked = self._blocked_agents()
+            if blocked:
+                raise DeadlockError(
+                    "event queue drained with blocked agents: "
+                    + "; ".join(blocked))
         self._finished = True
-        return now
+        return self.now
 
-    def run_for(self, cycles: int, _heappop=heappop) -> int:
+    def run_for(self, cycles: int) -> int:
         """Run until the clock passes ``self.now + cycles`` or events drain.
 
         Unlike :meth:`run`, draining the queue early is *not* treated as
         deadlock here; time-boxed workloads legitimately stop issuing
-        work.  Returns the final cycle.
+        work.  The window ends at ``max_cycles`` at the latest: an event
+        inside the window but past ``max_cycles`` raises
+        :class:`SimulationError`, as in :meth:`run`.  The clock then
+        moves to the window's end and never backwards.  Returns the
+        final cycle.
         """
+        if cycles < 0:
+            raise SimulationError(
+                f"negative run_for window {cycles} at cycle {self.now}")
         deadline = self.now + cycles
+        self._drain(None, deadline)
+        self.now = max(self.now, min(deadline, self.max_cycles))
+        return self.now
+
+    def _drain(self, until: Optional[Callable[[], bool]],
+               deadline: Optional[int], _heappop=heappop,
+               _heappush=heappush) -> bool:
+        """The one drain loop behind :meth:`run` and :meth:`run_for`.
+
+        Fires events in ``(cycle, priority, seq)`` order.  Returns
+        ``True`` when it stopped early — ``until`` held after an event,
+        or the next live event lies past ``deadline`` (that entry goes
+        back on the heap) — and ``False`` when the heap ran dry.
+        """
         heap = self._heap
+        max_cycles = self.max_cycles
+        # One bound test per new cycle: past ``limit`` either the window
+        # ends (``deadline``) or the run is a runaway (``max_cycles``).
+        limit = max_cycles if deadline is None else min(deadline, max_cycles)
         no_arg = NO_ARG
+        now = self.now
         while heap:
-            entry = heap[0]
-            if entry[0] > deadline:
-                break
-            _heappop(heap)
+            entry = _heappop(heap)
             fn = entry[3]
-            if fn is None:
+            if fn is None:              # cancelled, dropped lazily
+                if deadline is not None and entry[0] > deadline:
+                    _heappush(heap, entry)
+                    return True
                 continue
-            self.now = entry[0]
+            cycle = entry[0]
+            if cycle != now:
+                if cycle > limit:
+                    if deadline is not None and cycle > deadline:
+                        _heappush(heap, entry)
+                        return True
+                    raise SimulationError(
+                        f"exceeded max_cycles={max_cycles} "
+                        f"(runaway simulation?)")
+                if cycle < now:
+                    raise SimulationError(
+                        "event queue went backwards in time")
+                now = self.now = cycle
             arg = entry[4]
             if arg is no_arg:
                 fn()
             else:
                 fn(arg)
-        self.now = min(deadline, self.max_cycles)
-        return self.now
+            if until is not None and until():
+                return True
+        return False
 
     @property
     def pending_events(self) -> int:

@@ -49,7 +49,13 @@ class CoreStats:
     ops_completed: int = 0
 
     def count_request(self, mnemonic: str) -> None:
-        """Record one issued memory request of the given mnemonic."""
+        """Record one issued memory request of the given mnemonic.
+
+        The simulator does not call this: ``Core._issue`` bumps
+        :attr:`requests` in place (one call less per request).  A test
+        replays each run's responses through this helper and checks both
+        tallies agree.
+        """
         self.requests[mnemonic] = self.requests.get(mnemonic, 0) + 1
 
     def reset(self) -> None:
@@ -140,7 +146,13 @@ class NetworkStats:
     ingress_wait_cycles: int = 0
 
     def count_message(self, kind: str, hop_count: int) -> None:
-        """Record one delivered message of ``kind`` traversing ``hop_count`` hops."""
+        """Record one delivered message of ``kind`` traversing ``hop_count`` hops.
+
+        The simulator does not call this: the network's send paths bump
+        :attr:`messages` and :attr:`hops` in place (one call less per
+        message).  A test replays each run's ``message`` hook stream
+        through this helper and checks both tallies agree.
+        """
         self.messages[kind] = self.messages.get(kind, 0) + 1
         self.hops += hop_count
 

@@ -12,6 +12,21 @@ Four message families exist, mirroring the paper's Fig. 2:
   that links a new tail behind the previous one (§IV, step 4).
 * :class:`WakeUpRequest` — Qnode → bank: Colibri's dequeue message that
   tells the controller which core to serve next (§IV, step 6).
+
+Every simulated request touches its :class:`Op` several times on the
+way core → network → bank → adapter → response, so each member carries
+plain precomputed attributes that the hot paths read instead of testing
+frozenset membership (a Python-level ``Enum.__hash__`` call) or going
+through the ``Op.value`` descriptor:
+
+* ``mnemonic`` — the request's message/counter key, equal to ``value``;
+* ``resp_mnemonic`` — the key of its response, ``"resp_" + value``;
+* ``is_wait`` / ``is_amo`` — membership in :data:`WAIT_OPS` /
+  :data:`AMO_OPS`, from which they are derived;
+* ``is_sc`` — SC or SCwait, the ops whose response reports success.
+
+The frozensets stay the public API; the attributes are set from them
+once, at import, so the two cannot disagree.
 """
 
 from __future__ import annotations
@@ -40,6 +55,13 @@ class Op(Enum):
     SCWAIT = "scwait"
     MWAIT = "mwait"
 
+    # Precomputed per member below, after the op sets exist.
+    mnemonic: str
+    resp_mnemonic: str
+    is_wait: bool
+    is_amo: bool
+    is_sc: bool
+
 
 #: Operations that modify memory when they succeed.
 WRITE_OPS = frozenset({
@@ -55,6 +77,14 @@ AMO_OPS = frozenset({
 
 #: Operations whose response may be withheld by the controller.
 WAIT_OPS = frozenset({Op.LRWAIT, Op.MWAIT})
+
+for _op in Op:
+    _op.mnemonic = _op.value
+    _op.resp_mnemonic = "resp_" + _op.value
+    _op.is_wait = _op in WAIT_OPS
+    _op.is_amo = _op in AMO_OPS
+    _op.is_sc = _op is Op.SC or _op is Op.SCWAIT
+del _op
 
 
 class Status(Enum):

@@ -141,11 +141,16 @@ class Network:
         alike (see :meth:`~repro.arch.topology.Topology.route`).
         """
         cls, latency, hops = self.topology.route(req.core_id, bank_id)
-        self.stats.count_message(req.op.value, hops)
+        kind = req.op.mnemonic
+        stats = self.stats
+        messages = stats.messages
+        messages[kind] = messages.get(kind, 0) + 1
+        stats.hops += hops
+        now = self.sim.now
         cb = self._telemetry.on_message
         if cb is not None:
-            cb(self.sim.now, req.op.value, cls, latency, hops)
-        delivery = self.sim.now + latency
+            cb(now, kind, cls, latency, hops)
+        delivery = now + latency
         if cls != "local":
             delivery = self._ingress_slot(bank_id, delivery)
         self.sim.schedule_at(delivery, self._bank_handlers[bank_id], arg=req)
@@ -153,17 +158,25 @@ class Network:
     def send_response(self, resp: MemResponse, bank_id: int) -> None:
         """Bank → core: deliver a response after the route latency."""
         cls, latency, hops = self.topology.route(resp.core_id, bank_id)
-        self.stats.count_message("resp_" + resp.op.value, hops)
+        kind = resp.op.resp_mnemonic
+        stats = self.stats
+        messages = stats.messages
+        messages[kind] = messages.get(kind, 0) + 1
+        stats.hops += hops
         cb = self._telemetry.on_message
         if cb is not None:
-            cb(self.sim.now, "resp_" + resp.op.value, cls, latency, hops)
+            cb(self.sim.now, kind, cls, latency, hops)
         self.sim.schedule(latency, self._core_handlers[resp.core_id],
                           arg=resp)
 
     def send_successor_update(self, msg: SuccessorUpdate) -> None:
         """Bank → Qnode: Colibri enqueue-link message."""
         cls, latency, hops = self.topology.route(msg.prev_core, msg.bank_id)
-        self.stats.count_message("successor_update", hops)
+        stats = self.stats
+        messages = stats.messages
+        messages["successor_update"] = \
+            messages.get("successor_update", 0) + 1
+        stats.hops += hops
         cb = self._telemetry.on_message
         if cb is not None:
             cb(self.sim.now, "successor_update", cls, latency, hops)
@@ -178,7 +191,10 @@ class Network:
         core's SCwait, which was sent earlier at equal latency).
         """
         cls, latency, hops = self.topology.route(msg.from_core, msg.bank_id)
-        self.stats.count_message("wakeup_request", hops)
+        stats = self.stats
+        messages = stats.messages
+        messages["wakeup_request"] = messages.get("wakeup_request", 0) + 1
+        stats.hops += hops
         cb = self._telemetry.on_message
         if cb is not None:
             cb(self.sim.now, "wakeup_request", cls, latency, hops)

@@ -15,7 +15,7 @@ reservation machinery hooks into:
 from __future__ import annotations
 
 from ..engine.errors import ProtocolViolation
-from ..interconnect.messages import AMO_OPS, MemRequest, Op, Status
+from ..interconnect.messages import MemRequest, Op, Status
 
 
 class AtomicAdapter:
@@ -60,7 +60,7 @@ class AtomicAdapter:
             self.ctrl.write(req.addr, req.value)
             self.on_write(req.addr)
             self.ctrl.respond(req, value=0)
-        elif op in AMO_OPS:
+        elif op.is_amo:
             old = self.ctrl.read(req.addr)
             self.ctrl.write(req.addr, self._amo_result(op, old, req.value))
             self.on_write(req.addr)

@@ -130,10 +130,8 @@ class BankController:
                 status: Status = Status.OK,
                 successor_pending: bool = False) -> None:
         """Send a response for ``req`` back through the network."""
-        resp = MemResponse(
-            op=req.op, core_id=req.core_id, addr=req.addr, value=value,
-            status=status, req_id=req.req_id,
-            successor_pending=successor_pending)
+        resp = MemResponse(req.op, req.core_id, req.addr, value, status,
+                           req.req_id, successor_pending)
         cb = self.telemetry.on_bank_response
         if cb is not None:
             cb(self.sim.now, self.bank_id, resp)

@@ -56,3 +56,25 @@ def test_every_word_maps_uniquely(amap):
         location = amap.locate(word * 4)
         assert location not in seen
         seen.add(location)
+
+
+@pytest.mark.parametrize("decode", ["bank_of", "locate"])
+@pytest.mark.parametrize("offset, message", [
+    (2, "misaligned access: 0x2"),
+    (-4, "outside SPM"),
+    (-2, "misaligned access"),
+    (None, "outside SPM"),          # None: the first byte past the end
+])
+def test_one_call_decoders_raise_the_checked_errors(amap, decode, offset,
+                                                    message):
+    addr = amap.memory_bytes if offset is None else offset
+    with pytest.raises(MemoryError_, match=message):
+        getattr(amap, decode)(addr)
+
+
+def test_one_call_decoders_agree_with_word_index(amap):
+    for addr in (0, 4, amap.num_banks * 4 + 8, amap.memory_bytes - 4):
+        word = amap.word_index(addr)
+        assert amap.bank_of(addr) == word % amap.num_banks
+        assert amap.locate(addr) == (word % amap.num_banks,
+                                     word // amap.num_banks)

@@ -101,3 +101,57 @@ def test_pending_events_counter():
     assert sim.pending_events == 2
     sim.run()
     assert sim.pending_events == 0
+
+
+def test_run_for_applies_max_cycles_guard():
+    sim = Simulator(max_cycles=100)
+    fired = []
+
+    def reschedule():
+        fired.append(sim.now)
+        sim.schedule(60, reschedule)
+
+    sim.schedule(60, reschedule)
+    with pytest.raises(SimulationError, match="max_cycles=100"):
+        sim.run_for(1000)
+    # Same schedule, same stop as run(): nothing fired past max_cycles
+    # and the clock stays on the last fired cycle.
+    assert fired == [60]
+    assert sim.now == 60
+
+
+def test_run_for_window_ending_before_max_cycles_is_not_runaway():
+    sim = Simulator(max_cycles=100)
+    sim.schedule(150, lambda: None)
+    assert sim.run_for(50) == 50
+    assert sim.pending_events == 1
+
+
+def test_run_for_never_moves_the_clock_backwards():
+    sim = Simulator(max_cycles=100)
+    sim.schedule(90, lambda: None)
+    sim.run_for(95)
+    assert sim.now == 95
+    sim.max_cycles = 50     # a tighter cap must not rewind the clock
+    assert sim.run_for(10) == 95
+    with pytest.raises(SimulationError, match="negative"):
+        sim.run_for(-1)
+    assert sim.now == 95
+
+
+def test_run_for_keeps_cancelled_entries_past_the_window():
+    sim = Simulator()
+    handle = sim.schedule_event(20, lambda: None)
+    handle.cancel()
+    sim.run_for(10)
+    assert sim.now == 10
+    assert sim.pending_events == 1
+
+
+def test_run_with_until_and_run_for_share_the_guards():
+    sim = Simulator(max_cycles=10)
+    sim.schedule(5, lambda: None)
+    sim.schedule(20, lambda: None)
+    with pytest.raises(SimulationError, match="max_cycles=10"):
+        sim.run(until=lambda: False)
+    assert sim.now == 5

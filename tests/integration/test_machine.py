@@ -5,7 +5,8 @@ import pytest
 from repro import Machine, SystemConfig, VariantSpec
 from repro.engine.errors import ConfigError
 
-from ..conftest import increment_kernel_amo, make_machine
+from ..conftest import (
+    increment_kernel_amo, increment_kernel_wait, make_machine)
 
 
 def test_construction_wires_all_components():
@@ -101,3 +102,52 @@ def test_stats_shared_with_components():
     stats = machine.run()
     assert stats is machine.stats
     assert sum(b.accesses for b in stats.banks) > 0
+
+
+@pytest.mark.parametrize("addr, message", [
+    (6, "misaligned access: 0x6 \\(word size 4\\)"),
+    (None, "outside SPM"),          # None: the first byte past the end
+])
+def test_bad_address_in_a_simulated_request_fails_at_issue(addr, message):
+    from repro.engine.errors import MemoryError_
+
+    machine = make_machine(16, VariantSpec.colibri())
+    target = machine.config.memory_bytes if addr is None else addr
+
+    def kernel(api):
+        yield from api.lw(target)
+
+    machine.load(0, kernel)
+    with pytest.raises(MemoryError_, match=message):
+        machine.run()
+    # The request was issued and counted, but never reached the network.
+    assert machine.sim.now == 1
+    assert machine.stats.cores[0].requests == {"lw": 1}
+    assert machine.stats.network.messages == {}
+
+
+def test_inline_counters_match_the_stats_helpers():
+    # Core._issue and the network's send paths bump the counters in
+    # place; replaying the hook streams through CoreStats.count_request
+    # and NetworkStats.count_message must give the same tallies.
+    from repro.engine.stats import CoreStats, NetworkStats
+
+    machine = make_machine(16, VariantSpec.colibri())
+    counter = machine.allocator.alloc_interleaved(1)
+    network = NetworkStats()
+    cores = [CoreStats(core_id=i) for i in range(16)]
+    machine.telemetry.subscribe(
+        "message", lambda cycle, kind, cls, latency, hops:
+        network.count_message(kind, hops))
+    machine.telemetry.subscribe(
+        "response", lambda cycle, core_id, resp, waited:
+        cores[core_id].count_request(resp.op.value))
+    machine.load_all(increment_kernel_wait(counter, 3))
+    stats = machine.run()
+
+    assert machine.peek(counter) == 48
+    assert {"successor_update", "wakeup_request"} <= set(
+        stats.network.messages)
+    assert network.messages == stats.network.messages
+    assert network.hops == stats.network.hops
+    assert [c.requests for c in cores] == [c.requests for c in stats.cores]

@@ -36,3 +36,12 @@ def test_request_str_is_informative():
     req = MemRequest(op=Op.SCWAIT, core_id=3, addr=0x40, value=9)
     text = str(req)
     assert "scwait" in text and "core=3" in text and "0x40" in text
+
+
+def test_precomputed_op_attributes_match_the_op_sets():
+    for op in Op:
+        assert op.mnemonic == op.value
+        assert op.resp_mnemonic == "resp_" + op.value
+        assert op.is_wait is (op in WAIT_OPS)
+        assert op.is_amo is (op in AMO_OPS)
+        assert op.is_sc is (op in (Op.SC, Op.SCWAIT))
