@@ -57,7 +57,8 @@ def _amo_stream(addrs):
 
 
 def _lrsc_stream(api, addrs):
-    """Flat LR/SC retry loop over a precomputed address stream.
+    """Flat LR/SC retry loop over an address stream (a list, or a lazy
+    generator drawing each address when the loop pulls it).
 
     Mirrors :func:`repro.sync.rmw.lrsc_fetch_modify` exactly: LR,
     one compute cycle, SC of old+1; on failure a backoff draw from
@@ -82,7 +83,7 @@ def _lrsc_stream(api, addrs):
 
 
 def _wait_stream(api, addrs):
-    """Flat LRwait/SCwait loop over a precomputed address stream.
+    """Flat LRwait/SCwait loop over an address stream (list or lazy).
 
     Mirrors :func:`repro.sync.rmw.wait_fetch_modify` exactly, including
     the QUEUE_FULL retry with its randomized short wait.
@@ -113,9 +114,11 @@ def _wait_stream(api, addrs):
 def flat_stream_rmw(api, addrs, method: str):
     """Fetch-add each address of ``addrs`` (in order) via ``method``.
 
-    For streams known up front (Zipf draws from a host RNG, or AMO
-    uniform draws — AMO never touches ``api.rng`` mid-run, so its bin
-    indices may be drawn before the run without reordering anything).
+    ``addrs`` is a list known up front (Zipf draws from a host RNG, or
+    AMO uniform draws — AMO never touches ``api.rng`` mid-run, so its
+    bin indices may be drawn before the run without reordering
+    anything), or for lrsc/wait the lazy generator of
+    :func:`flat_uniform_rmw`.
     """
     if method == "amo":
         return _amo_stream(addrs)
@@ -132,61 +135,15 @@ def flat_uniform_rmw(api, base: int, word: int, num_bins: int,
 
     The scalar kernel draws one bin index from ``api.rng`` per update
     *between* the retry loops' backoff draws; the lrsc/wait flavours
-    must therefore interleave identically.  Only AMO (no mid-run RNG
-    use) may batch its draws up front.
+    therefore get a lazy address generator, so each bin is drawn only
+    when the retry loop pulls its next address — the scalar RNG order.
+    Only AMO (no mid-run RNG use) may batch its draws up front.
     """
-    rng = api.rng
-    randrange = rng.randrange
+    randrange = api.rng.randrange
+    addrs = (base + randrange(num_bins) * word for _ in range(updates))
     if method == "amo":
-        return _amo_stream(
-            [base + randrange(num_bins) * word for _ in range(updates)])
-
-    if method == "lrsc":
-        def kernel():
-            backoff = DEFAULT_LRSC_BACKOFF
-            ok = Status.OK
-            for _ in range(updates):
-                addr = base + randrange(num_bins) * word
-                attempt = 0
-                while True:
-                    resp = yield MemCmd(Op.LR, addr)
-                    yield COMPUTE_1
-                    resp = yield MemCmd(Op.SC, addr, resp.value + 1)
-                    if resp.status is ok:
-                        break
-                    delay = backoff.delay(rng, attempt)
-                    if delay > 0:
-                        yield Compute(delay)
-                    attempt += 1
-                yield RETIRE
-        return kernel()
-
-    if method == "wait":
-        def kernel():
-            backoff = QUEUE_FULL_BACKOFF
-            ok = Status.OK
-            queue_full = Status.QUEUE_FULL
-            for _ in range(updates):
-                addr = base + randrange(num_bins) * word
-                attempt = 0
-                while True:
-                    resp = yield MemCmd(Op.LRWAIT, addr)
-                    if resp.status is queue_full:
-                        delay = backoff.delay(rng, attempt)
-                        if delay > 0:
-                            yield Compute(delay)
-                        attempt += 1
-                        continue
-                    old = resp.value
-                    yield COMPUTE_1
-                    resp = yield MemCmd(Op.SCWAIT, addr, old + 1)
-                    if resp.status is ok:
-                        break
-                    attempt += 1
-                yield RETIRE
-        return kernel()
-
-    raise ValueError(f"no flat driver for RMW method {method!r}")
+        addrs = list(addrs)
+    return flat_stream_rmw(api, addrs, method)
 
 
 def flat_matmul_kernel(api, matmul, rows):

@@ -24,7 +24,7 @@ resumable, schema-validated JSON document::
     print(result.best().overrides, [e.overrides for e in result.frontier()])
 
 The ``repro explore`` / ``repro frontier`` CLI drives it directly, and
-``python -m repro.dse journal.json`` schema-validates journals in CI.
+``python -m repro.obs journal.json`` schema-validates journals in CI.
 """
 
 from .campaign import Campaign, CampaignResult, Evaluation

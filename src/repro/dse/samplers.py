@@ -18,9 +18,9 @@ exclusively through the ``rng`` argument (a seeded
 of (space, budget, seed).
 
 Sampler classes register under a name with :func:`register_sampler` —
-the same registry idiom as workloads and telemetry probes, including
-``replace=True`` shadowing — and the CLI looks them up for
-``repro explore --sampler <name>``.
+one instance of the shared :class:`~repro.registry.Registry`, like
+workloads, variants and telemetry probes — and the CLI looks them up
+for ``repro explore --sampler <name>``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..engine.errors import ConfigError
+from ..registry import Registry
 
 #: Evaluation fidelities a batch may request.  ``smoke`` applies the
 #: workload's tiny smoke overrides underneath the axis combination —
@@ -74,56 +75,12 @@ class Sampler:
 
 
 #: name -> sampler class.
-_REGISTRY: dict = {}
-
-
-def register_sampler(name: str, *, replace: bool = False):
-    """Class decorator registering a sampler class under ``name``."""
-    if not name or not isinstance(name, str):
-        raise ConfigError(
-            f"sampler name must be a non-empty string, got {name!r}")
-
-    def decorator(cls):
-        if name in _REGISTRY and not replace:
-            raise ConfigError(
-                f"sampler {name!r} already registered "
-                f"({_REGISTRY[name].__name__}); "
-                f"pass replace=True to shadow it")
-        cls.name = name
-        _REGISTRY[name] = cls
-        return cls
-
-    return decorator
-
-
-def unregister_sampler(name: str) -> None:
-    """Remove a registration (mainly for tests tearing down fixtures)."""
-    _REGISTRY.pop(name, None)
-
-
-def get_sampler(name: str) -> type:
-    """The registered sampler class, or :class:`UnknownSamplerError`."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownSamplerError(
-            f"no sampler registered under {name!r}; "
-            f"registered: {', '.join(sorted(_REGISTRY)) or '(none)'}")
-
-
-def create_sampler(name: str, **options) -> Sampler:
-    """A fresh sampler instance; ``options`` go to the constructor."""
-    cls = get_sampler(name)
-    try:
-        return cls(**options)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"sampler {name!r} rejected options {sorted(options)}: {exc}")
-
-
-def list_samplers() -> list:
-    """``(name, sampler_class)`` pairs, sorted by name."""
-    return sorted(_REGISTRY.items())
+_SAMPLERS = Registry("sampler", UnknownSamplerError)
+register_sampler = _SAMPLERS.register
+unregister_sampler = _SAMPLERS.unregister
+get_sampler = _SAMPLERS.get
+create_sampler = _SAMPLERS.create
+list_samplers = _SAMPLERS.items
 
 
 # -- built-in samplers --------------------------------------------------------

@@ -3,23 +3,17 @@
 The journal is the campaign's durable state — resume, ``repro
 frontier`` and CI artifacts all read it back — so, exactly like
 exported telemetry reports, it is validated against the documented
-layout with plain functions and zero schema dependencies.  A campaign
-whose journal drifts from this shape fails the pipeline rather than
-shipping an unreadable artifact.
+layout with plain functions on the shared :mod:`repro.obs.schema`
+helpers.  A campaign whose journal drifts from this shape fails the
+pipeline rather than shipping an unreadable artifact.  Validate files
+with::
 
-Run standalone over one or more files::
-
-    python -m repro.dse journal.json [more.json ...]
-
-exits 0 when every file validates, 2 with a message otherwise.
+    python -m repro.obs journal.json [more.json ...]
 """
 
 from __future__ import annotations
 
-import json
-import sys
-
-from ..telemetry.schema import SchemaError, _require
+from ..obs.schema import SchemaError, _require
 
 #: Journal states: ``complete`` (sampler exhausted), ``budget``
 #: (evaluation budget ran out first), ``partial`` (interrupted —
@@ -29,9 +23,6 @@ STATUSES = ("complete", "budget", "partial")
 
 def validate_journal(data: dict) -> None:
     """Raise :class:`SchemaError` unless ``data`` is a valid journal."""
-    if not isinstance(data, dict):
-        raise SchemaError(
-            f"journal must be a dict, got {type(data).__name__}")
     from .journal import COMPATIBLE_VERSIONS
     version = _require(data, "version", int, "journal")
     if version not in COMPATIBLE_VERSIONS:
@@ -87,8 +78,6 @@ def validate_journal(data: dict) -> None:
 
 def _check_evaluation(record, position: int, objectives) -> None:
     where = f"journal.evaluations[{position}]"
-    if not isinstance(record, dict):
-        raise SchemaError(f"{where}: must be a dict")
     index = _require(record, "index", int, where)
     if index != position:
         raise SchemaError(
@@ -127,27 +116,3 @@ def _check_evaluation(record, position: int, objectives) -> None:
                 f"{where}: objective {metric!r} must be numeric, "
                 f"got {values[metric]!r}")
     _require(record, "scalars", dict, where)
-
-
-def main(argv=None) -> int:
-    """Validate journal files given on the command line."""
-    paths = sys.argv[1:] if argv is None else list(argv)
-    if not paths:
-        print("usage: python -m repro.dse journal.json [...]")
-        return 2
-    for path in paths:
-        try:
-            with open(path) as stream:
-                data = json.load(stream)
-            validate_journal(data)
-        except (OSError, ValueError, SchemaError) as exc:
-            print(f"schema: {path}: {exc}")
-            return 2
-        print(f"schema: {path}: ok ({data['status']}, "
-              f"{len(data['evaluations'])} evaluations, "
-              f"{data['paid']} paid)")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    sys.exit(main())

@@ -48,16 +48,6 @@ class CoreStats:
     #: queue accesses...).  Kernels bump this through ``CoreApi.retire()``.
     ops_completed: int = 0
 
-    def count_request(self, mnemonic: str) -> None:
-        """Record one issued memory request of the given mnemonic.
-
-        The simulator does not call this: ``Core._issue`` bumps
-        :attr:`requests` in place (one call less per request).  A test
-        replays each run's responses through this helper and checks both
-        tallies agree.
-        """
-        self.requests[mnemonic] = self.requests.get(mnemonic, 0) + 1
-
     def reset(self) -> None:
         """Zero every counter (warm machine reuse); keeps ``core_id``."""
         self.active_cycles = 0
@@ -144,17 +134,6 @@ class NetworkStats:
     #: Total cycles requests queued at saturated tile-ingress ports —
     #: the interference metric behind Fig. 5.
     ingress_wait_cycles: int = 0
-
-    def count_message(self, kind: str, hop_count: int) -> None:
-        """Record one delivered message of ``kind`` traversing ``hop_count`` hops.
-
-        The simulator does not call this: the network's send paths bump
-        :attr:`messages` and :attr:`hops` in place (one call less per
-        message).  A test replays each run's ``message`` hook stream
-        through this helper and checks both tallies agree.
-        """
-        self.messages[kind] = self.messages.get(kind, 0) + 1
-        self.hops += hop_count
 
     def reset(self) -> None:
         """Zero every counter (warm machine reuse)."""

@@ -3,10 +3,10 @@
 The paper's whole argument is a comparison across atomic-memory
 variants, so the variant layer is *open*: each variant is an
 :class:`AtomicVariant` plugin registered under a name with
-:func:`register_variant` — the exact mirror of the workload, probe and
-sampler registries, including the ``replace=True`` shadowing escape
-hatch.  A plugin packages everything the rest of the codebase needs to
-know about one piece of reservation hardware:
+:func:`register_variant` — one instance of the shared
+:class:`~repro.registry.Registry`, like workloads, probes and
+samplers.  A plugin packages everything the rest of the codebase needs
+to know about one piece of reservation hardware:
 
 * a **typed parameter schema** (:class:`VariantParam`): defaults,
   bounds, and symbolic values like ``"half"``/``"cores"`` that resolve
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..engine.errors import ConfigError
+from ..registry import Registry
 
 
 class UnknownVariantError(ConfigError):
@@ -228,8 +229,23 @@ class AtomicVariant:
                 for key, schema in self.params.items()}
 
 
+def _check_symbolic(name: str, plugin: AtomicVariant) -> None:
+    """Refuse a schema token that has no :data:`SYMBOLIC_VALUES` rule."""
+    for key, schema in plugin.params.items():
+        unknown = sorted(set(schema.symbolic) - set(SYMBOLIC_VALUES))
+        if unknown:
+            raise ConfigError(
+                f"variant {name!r} parameter {key!r} declares "
+                f"symbolic values {unknown} with no resolution "
+                f"rule; known: {sorted(SYMBOLIC_VALUES)}")
+
+
 #: name -> variant plugin instance.
-_REGISTRY: dict = {}
+_VARIANTS = Registry("variant", UnknownVariantError, instantiate=True,
+                     check=_check_symbolic, title="atomic-memory variant")
+unregister_variant = _VARIANTS.unregister
+get_variant = _VARIANTS.get
+list_variants = _VARIANTS.items
 
 
 def register_variant(name: str, *, replace: bool = False):
@@ -242,67 +258,27 @@ def register_variant(name: str, *, replace: bool = False):
 
     The name must be expressible in the variant-string grammar (a
     Python-identifier shape — ``:``/``=``/``,``/``-`` are grammar
-    punctuation and ``ideal`` is a reserved alias), and every symbolic
-    token a parameter schema declares must have a resolution rule in
-    :data:`SYMBOLIC_VALUES` — both checked here so a bad registration
-    fails at import time, not mid-run.
+    punctuation and ``ideal`` is a reserved alias), checked at call
+    time; every symbolic token a parameter schema declares must have a
+    resolution rule in :data:`SYMBOLIC_VALUES`, checked when the class
+    is decorated — so a bad registration fails at import time, not
+    mid-run.
     """
-    if not name or not isinstance(name, str):
-        raise ConfigError(
-            f"variant name must be a non-empty string, got {name!r}")
+    decorator = _VARIANTS.register(name, replace=replace)
     if not name.isidentifier() or name == "ideal":
         raise ConfigError(
             f"variant name {name!r} is not expressible in the variant-"
             f"string grammar: use a Python-identifier shape "
             f"(underscores, no ':'/'='/','/'-') other than the "
             f"reserved alias 'ideal'")
-
-    def decorator(cls):
-        if name in _REGISTRY and not replace:
-            raise ConfigError(
-                f"variant {name!r} already registered "
-                f"({type(_REGISTRY[name]).__name__}); "
-                f"pass replace=True to shadow it")
-        instance = cls()
-        instance.name = name
-        for key, schema in instance.params.items():
-            unknown = sorted(set(schema.symbolic) - set(SYMBOLIC_VALUES))
-            if unknown:
-                raise ConfigError(
-                    f"variant {name!r} parameter {key!r} declares "
-                    f"symbolic values {unknown} with no resolution "
-                    f"rule; known: {sorted(SYMBOLIC_VALUES)}")
-        _REGISTRY[name] = instance
-        return cls
-
     return decorator
-
-
-def unregister_variant(name: str) -> None:
-    """Remove a registration (mainly for tests tearing down fixtures)."""
-    _REGISTRY.pop(name, None)
-
-
-def get_variant(name: str) -> AtomicVariant:
-    """The registered plugin, or :class:`UnknownVariantError`."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownVariantError(
-            f"no atomic-memory variant registered under {name!r}; "
-            f"registered: {', '.join(sorted(_REGISTRY)) or '(none)'}")
-
-
-def list_variants() -> list:
-    """``(name, plugin)`` pairs, sorted by name."""
-    return sorted(_REGISTRY.items())
 
 
 def __getattr__(name: str):
     # PEP 562: VARIANT_KINDS used to be a hardcoded tuple; it is now a
     # live view of the registry so user registrations appear in it.
     if name == "VARIANT_KINDS":
-        return tuple(sorted(_REGISTRY))
+        return tuple(sorted(_VARIANTS.entries))
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

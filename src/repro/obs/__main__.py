@@ -1,10 +1,9 @@
 """``python -m repro.obs <artifact> [...]`` — schema validation.
 
-Thin wrapper over :func:`repro.obs.schema.main` so CI can validate
-exported platform traces, campaign event logs (``events.jsonl``) and
-journals without tripping runpy's already-imported-module warning (the
-same arrangement as ``python -m repro.telemetry`` and ``python -m
-repro.dse``).
+Thin wrapper over :func:`repro.obs.schema.main`, the one validator for
+telemetry reports, campaign journals, platform traces and event logs
+(``events.jsonl``), so CI can run it without tripping runpy's
+already-imported-module warning.
 """
 
 import sys

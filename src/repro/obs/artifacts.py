@@ -1,10 +1,10 @@
 """Shared artifact detection for everything the platform leaves on disk.
 
-Three observability surfaces read the same families of files — Chrome
-traces, campaign journals, event logs — and each used to carry its own
-sniffing logic.  This module is the single detector: hand it a path,
-get back ``(kind, payload, warnings)`` where ``kind`` is ``"trace"``,
-``"journal"`` or ``"events"``.
+Several surfaces read the same families of files — telemetry reports,
+Chrome traces, campaign journals, event logs — and each used to carry
+its own sniffing logic.  This module is the single detector: hand it a
+path, get back ``(kind, payload, warnings)`` where ``kind`` is
+``"report"``, ``"trace"``, ``"journal"`` or ``"events"``.
 
 In ``tolerant`` mode it additionally survives the crash case the
 control plane exists for: an artifact cut mid-write.  Event logs are
@@ -38,11 +38,14 @@ def load_text(path: str) -> str:
 
 
 def sniff_document(document: dict):
-    """``"trace"`` / ``"journal"`` for a parsed dict, else ``None``."""
+    """``"trace"`` / ``"journal"`` / ``"report"`` for a parsed dict,
+    else ``None``."""
     if "traceEvents" in document:
         return "trace"
     if "evaluations" in document:
         return "journal"
+    if "probes" in document:
+        return "report"
     return None
 
 
@@ -130,7 +133,8 @@ def load_artifact(path: str, tolerant: bool = False):
 
     * ``kind == "events"``: payload is the list of parsed records, and
       a torn tail is always tolerated (warned, never fatal).
-    * ``kind == "trace"`` / ``"journal"``: payload is the parsed dict.
+    * ``kind == "trace"`` / ``"journal"`` / ``"report"``: payload is
+      the parsed dict.
       With ``tolerant=True`` a truncated document is salvaged back to
       its largest valid prefix, with a warning describing the cut.
     """
@@ -160,5 +164,6 @@ def load_artifact(path: str, tolerant: bool = False):
     if kind is None:
         raise ConfigError(
             "not an --obs-trace file (no 'traceEvents'), not a campaign "
-            "journal (no 'evaluations'), and not an events.jsonl log")
+            "journal (no 'evaluations'), not a telemetry report (no "
+            "'probes'), and not an events.jsonl log")
     return kind, document, warnings

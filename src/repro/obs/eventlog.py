@@ -37,6 +37,7 @@ import os
 import time
 
 from ..engine.errors import ConfigError
+from .schema import SchemaError, _require
 
 #: Bump when the record layout changes incompatibly.
 EVENTS_VERSION = 1
@@ -189,15 +190,12 @@ def validate_events(records) -> None:
     within one pid, ``seq`` increments by one — except a restart at 0,
     which marks a new writer session (fork heal, campaign resume).
     """
-    from .schema import SchemaError, _require
     if not isinstance(records, list):
         raise SchemaError(
             f"events must be a list, got {type(records).__name__}")
     last_seq = {}
     for position, record in enumerate(records):
         where = f"events[{position}]"
-        if not isinstance(record, dict):
-            raise SchemaError(f"{where}: must be a dict")
         version = _require(record, "v", int, where)
         if version != EVENTS_VERSION:
             raise SchemaError(

@@ -1,24 +1,25 @@
-"""Structural validation of exported platform traces.
+"""Structural validation of every exported artifact.
 
-CI records ``--obs-trace`` files for the smoke sweeps and campaigns and
-validates them here before uploading — a trace whose events drift from
-the Chrome trace-event layout (and from the ``otherData`` metrics block
-``repro obs summary`` reads) fails the pipeline instead of shipping a
-file Perfetto cannot load.  Zero schema dependencies, same as the
-telemetry and journal validators: plain checks over the parsed dict.
+Telemetry reports, campaign journals, platform traces and campaign
+event logs are all validated against their documented layouts with
+plain checks over the parsed data and zero schema dependencies.  This
+module holds the pieces they share — :class:`SchemaError`,
+:func:`_require` and the one command-line front end — plus the
+Chrome-trace checks; the report, journal and event-log checks live
+beside their writers in :mod:`repro.telemetry.schema`,
+:mod:`repro.dse.schema` and :mod:`repro.obs.eventlog`.  It imports
+nothing but the error hierarchy, so the engine's batch pool can
+report through :mod:`repro.obs` without an import cycle.
 
-Run standalone over one or more files — traces, campaign event logs
-(``events.jsonl``) and journals are all recognized::
+CI validates every artifact it uploads, so a layout that drifts fails
+the pipeline instead of shipping a file Perfetto, ``repro frontier`` or
+``repro obs summary`` cannot load.  Run standalone over one or more
+files — the kind of each is detected by :mod:`repro.obs.artifacts`::
 
-    python -m repro.obs trace.json events.jsonl [more ...]
+    python -m repro.obs report.json journal.json trace.json events.jsonl
 
-exits 0 when every file validates, 2 with a message otherwise.
-
-(The :class:`SchemaError`/``_require`` pair is deliberately local
-rather than imported from :mod:`repro.telemetry.schema`: the engine's
-batch pool reports through :mod:`repro.obs`, and pulling the telemetry
-package — whose init loads every built-in probe — into that import
-chain would be a cycle waiting to happen.)
+exits 0 when every file validates, 2 with a ``schema:`` message
+otherwise.
 """
 
 from __future__ import annotations
@@ -37,10 +38,18 @@ _TIMER_KEYS = ("count", "total_s", "min_s", "max_s")
 
 
 class SchemaError(ConfigError):
-    """An exported trace does not match the documented shape."""
+    """An exported artifact does not match its documented shape."""
 
 
 def _require(data: dict, key: str, types, where: str):
+    """``data[key]``, checked to be a ``types`` (never a bool).
+
+    A ``data`` that is not a dict is itself a schema violation, so a
+    corrupt container is reported at ``where`` instead of crashing.
+    """
+    if not isinstance(data, dict):
+        raise SchemaError(
+            f"{where}: must be a dict, got {type(data).__name__}")
     if key not in data:
         raise SchemaError(f"{where}: missing key {key!r}")
     value = data[key]
@@ -52,16 +61,11 @@ def _require(data: dict, key: str, types, where: str):
 
 def validate_trace(data: dict) -> None:
     """Raise :class:`SchemaError` unless ``data`` is a valid trace."""
-    if not isinstance(data, dict):
-        raise SchemaError(
-            f"trace must be a dict, got {type(data).__name__}")
     events = _require(data, "traceEvents", list, "trace")
     ids = set()
     parents = []
     for position, event in enumerate(events):
         where = f"trace.traceEvents[{position}]"
-        if not isinstance(event, dict):
-            raise SchemaError(f"{where}: must be a dict")
         _require(event, "name", str, where)
         phase = _require(event, "ph", str, where)
         if phase not in _PHASES:
@@ -116,8 +120,6 @@ def validate_trace(data: dict) -> None:
     timers = _require(other, "timers", dict, "trace.otherData")
     for name, timer in timers.items():
         where = f"trace.otherData.timers[{name!r}]"
-        if not isinstance(timer, dict):
-            raise SchemaError(f"{where}: must be a dict")
         for key in _TIMER_KEYS:
             _require(timer, key, (int, float), where)
     histograms = other.get("histograms")
@@ -127,8 +129,6 @@ def validate_trace(data: dict) -> None:
         raise SchemaError("trace.otherData: 'histograms' must be a dict")
     for name, histogram in histograms.items():
         where = f"trace.otherData.histograms[{name!r}]"
-        if not isinstance(histogram, dict):
-            raise SchemaError(f"{where}: must be a dict")
         _require(histogram, "count", int, where)
         _require(histogram, "total_s", (int, float), where)
         buckets = _require(histogram, "buckets", list, where)
@@ -141,33 +141,37 @@ def validate_trace(data: dict) -> None:
 
 
 def main(argv=None) -> int:
-    """Validate trace / event-log / journal files from the command line."""
+    """Validate report / journal / trace / event-log files."""
     from .artifacts import load_artifact
     paths = sys.argv[1:] if argv is None else list(argv)
     if not paths:
         print("usage: python -m repro.obs "
-              "{trace.json|events.jsonl|journal.json} [...]")
+              "{report.json|journal.json|trace.json|events.jsonl} [...]")
         return 2
     for path in paths:
         try:
             kind, payload, warnings = load_artifact(path)
-            if kind == "trace":
+            if kind == "report":
+                from ..telemetry.schema import validate_report
+                validate_report(payload)
+                detail = ", ".join(sorted(payload["probes"])) or "no probes"
+            elif kind == "journal":
+                from ..dse.schema import validate_journal
+                validate_journal(payload)
+                detail = (f"{len(payload['evaluations'])} evaluations, "
+                          f"status {payload['status']}")
+            elif kind == "trace":
                 validate_trace(payload)
                 spans = sum(1 for event in payload["traceEvents"]
                             if event.get("ph") == "X")
                 detail = (f"{spans} spans, "
                           f"{len(payload.get('otherData', {}).get('counters', {}))} "
                           f"counters")
-            elif kind == "events":
+            else:
                 from .eventlog import validate_events
                 validate_events(payload)
                 writers = {record["pid"] for record in payload}
                 detail = f"{len(payload)} events, {len(writers)} writers"
-            else:
-                from ..dse.schema import validate_journal
-                validate_journal(payload)
-                detail = (f"{len(payload['evaluations'])} evaluations, "
-                          f"status {payload['status']}")
         except (ConfigError, OSError, ValueError) as exc:
             print(f"schema: {path}: {exc}")
             return 2

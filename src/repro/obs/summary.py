@@ -24,26 +24,7 @@ Unsalvageable garbage still fails loudly.
 from __future__ import annotations
 
 from ..engine.errors import ConfigError
-from .artifacts import load_artifact, sniff_document
-
-
-def load_document(path: str) -> dict:
-    """Parse a JSON artifact strictly, with CLI-grade error messages."""
-    kind, payload, _warnings = load_artifact(path)
-    if kind == "events":
-        raise ConfigError(f"{path!r} is an event log, not a JSON "
-                          f"document")
-    return payload
-
-
-def sniff(document: dict) -> str:
-    """``"trace"`` or ``"journal"``; anything else is an error."""
-    kind = sniff_document(document)
-    if kind is None:
-        raise ConfigError(
-            "not an --obs-trace file (no 'traceEvents') and not a "
-            "campaign journal (no 'evaluations')")
-    return kind
+from .artifacts import load_artifact
 
 
 def _ratio(part, whole) -> str:
@@ -174,6 +155,11 @@ def render_summary(path: str) -> str:
     """The summary table for a trace, journal, or event-log file."""
     from ..eval.reporting import render_table
     kind, payload, warnings = load_artifact(path, tolerant=True)
+    if kind == "report":
+        raise ConfigError(
+            f"{path!r} is a telemetry report: repro obs summary reads "
+            f"traces, journals and event logs (validate reports with "
+            f"'python -m repro.obs')")
     if kind == "events":
         rows = events_rows(payload)
     elif kind == "trace":

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, Sequence, runtime_checkable
 
 from ..engine.errors import ConfigError
+from ..registry import Registry
 
 
 class UnknownWorkloadError(ConfigError):
@@ -115,51 +116,10 @@ class Workload:
         return execute(self, spec)
 
 
-#: name -> workload instance.
-_REGISTRY: dict = {}
-
-
-def register_workload(name: str, *, replace: bool = False):
-    """Class decorator registering a workload under ``name``.
-
-    The class is instantiated once at registration (workloads are
-    stateless — per-run state lives in :meth:`Workload.load` closures).
-    Re-registering an existing name raises unless ``replace=True``,
-    which user code can use to shadow a built-in deliberately.
-    """
-    if not name or not isinstance(name, str):
-        raise ConfigError(f"workload name must be a non-empty string, "
-                          f"got {name!r}")
-
-    def decorator(cls):
-        if name in _REGISTRY and not replace:
-            raise ConfigError(
-                f"workload {name!r} already registered "
-                f"({type(_REGISTRY[name]).__name__}); "
-                f"pass replace=True to shadow it")
-        instance = cls()
-        instance.name = name
-        _REGISTRY[name] = instance
-        return cls
-
-    return decorator
-
-
-def unregister_workload(name: str) -> None:
-    """Remove a registration (mainly for tests tearing down fixtures)."""
-    _REGISTRY.pop(name, None)
-
-
-def get_workload(name: str):
-    """The registered workload instance, or :class:`UnknownWorkloadError`."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownWorkloadError(
-            f"no workload registered under {name!r}; "
-            f"registered: {', '.join(sorted(_REGISTRY)) or '(none)'}")
-
-
-def list_workloads() -> list:
-    """``(name, workload)`` pairs, sorted by name."""
-    return sorted(_REGISTRY.items())
+#: name -> workload instance (workloads are stateless; per-run state
+#: lives in :meth:`Workload.load` closures).
+_WORKLOADS = Registry("workload", UnknownWorkloadError, instantiate=True)
+register_workload = _WORKLOADS.register
+unregister_workload = _WORKLOADS.unregister
+get_workload = _WORKLOADS.get
+list_workloads = _WORKLOADS.items

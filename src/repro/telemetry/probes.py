@@ -4,11 +4,10 @@ A *probe* is a per-run observer that subscribes to
 :class:`~repro.telemetry.hub.Telemetry` hooks of one machine, folds the
 stream of observations into compact state while the simulation runs,
 and renders a JSON-able *section* afterwards.  Probe classes register
-under a name with :func:`register_probe` — the exact mirror of the
-workload registry in :mod:`repro.scenarios.registry`, including the
-``replace=True`` shadowing escape hatch — and are looked up by name
-from the CLI (``repro trace --probe <name>``) and from
-:func:`repro.scenarios.run_scenario`.
+under a name with :func:`register_probe` — one instance of the shared
+:class:`~repro.registry.Registry`, like workloads, variants and
+samplers — and are looked up by name from the CLI (``repro trace
+--probe <name>``) and from :func:`repro.scenarios.run_scenario`.
 
 Unlike workloads (stateless singletons), probes accumulate per-run
 state, so the registry stores *classes* and :func:`create_probe`
@@ -18,6 +17,7 @@ instantiates a fresh one per run.
 from __future__ import annotations
 
 from ..engine.errors import ConfigError
+from ..registry import Registry
 
 
 class UnknownProbeError(ConfigError):
@@ -53,57 +53,9 @@ class Probe:
 
 
 #: name -> probe class.
-_REGISTRY: dict = {}
-
-
-def register_probe(name: str, *, replace: bool = False):
-    """Class decorator registering a probe class under ``name``.
-
-    Re-registering an existing name raises unless ``replace=True``,
-    which user code can use to shadow a built-in deliberately.
-    """
-    if not name or not isinstance(name, str):
-        raise ConfigError(
-            f"probe name must be a non-empty string, got {name!r}")
-
-    def decorator(cls):
-        if name in _REGISTRY and not replace:
-            raise ConfigError(
-                f"probe {name!r} already registered "
-                f"({_REGISTRY[name].__name__}); "
-                f"pass replace=True to shadow it")
-        cls.name = name
-        _REGISTRY[name] = cls
-        return cls
-
-    return decorator
-
-
-def unregister_probe(name: str) -> None:
-    """Remove a registration (mainly for tests tearing down fixtures)."""
-    _REGISTRY.pop(name, None)
-
-
-def get_probe(name: str) -> type:
-    """The registered probe class, or :class:`UnknownProbeError`."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownProbeError(
-            f"no probe registered under {name!r}; "
-            f"registered: {', '.join(sorted(_REGISTRY)) or '(none)'}")
-
-
-def create_probe(name: str, **options) -> Probe:
-    """A fresh probe instance; ``options`` go to the class constructor."""
-    cls = get_probe(name)
-    try:
-        return cls(**options)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"probe {name!r} rejected options {sorted(options)}: {exc}")
-
-
-def list_probes() -> list:
-    """``(name, probe_class)`` pairs, sorted by name."""
-    return sorted(_REGISTRY.items())
+_PROBES = Registry("probe", UnknownProbeError)
+register_probe = _PROBES.register
+unregister_probe = _PROBES.unregister
+get_probe = _PROBES.get
+create_probe = _PROBES.create
+list_probes = _PROBES.items

@@ -1,38 +1,17 @@
 """Structural validation of exported telemetry reports.
 
-CI exports ``repro trace`` reports as JSON and validates them here
-before uploading the artifacts, so a probe whose section drifts from
-the documented layout fails the pipeline rather than shipping a broken
-artifact.  No external schema library: the checks are plain functions
-over the dict, which keeps the dependency surface at zero.
+CI exports ``repro trace`` reports as JSON and validates them before
+uploading the artifacts, so a probe whose section drifts from the
+documented layout fails the pipeline rather than shipping a broken
+artifact.  The checks are plain functions over the dict built on the
+shared :mod:`repro.obs.schema` helpers; validate files with::
 
-Run standalone over one or more files::
-
-    python -m repro.telemetry.schema report.json [more.json ...]
-
-exits 0 when every file validates, 2 with a message otherwise.
+    python -m repro.obs report.json [more.json ...]
 """
 
 from __future__ import annotations
 
-import json
-import sys
-
-from ..engine.errors import ConfigError
-
-
-class SchemaError(ConfigError):
-    """An exported telemetry report does not match the documented shape."""
-
-
-def _require(data: dict, key: str, types, where: str):
-    if key not in data:
-        raise SchemaError(f"{where}: missing key {key!r}")
-    value = data[key]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise SchemaError(
-            f"{where}: {key!r} must be {types}, got {type(value).__name__}")
-    return value
+from ..obs.schema import SchemaError, _require
 
 
 def _check_spans(spans, where: str) -> None:
@@ -48,8 +27,6 @@ def _check_spans(spans, where: str) -> None:
 
 def validate_report(data: dict) -> None:
     """Raise :class:`SchemaError` unless ``data`` is a valid report."""
-    if not isinstance(data, dict):
-        raise SchemaError(f"report must be a dict, got {type(data).__name__}")
     _require(data, "version", int, "report")
     _require(data, "cycles", int, "report")
     _require(data, "num_cores", int, "report")
@@ -123,26 +100,3 @@ _SECTION_CHECKERS = {
     "queue_occupancy": _check_queue_occupancy,
     "message_latency": _check_message_latency,
 }
-
-
-def main(argv=None) -> int:
-    """Validate JSON report files given on the command line."""
-    paths = sys.argv[1:] if argv is None else list(argv)
-    if not paths:
-        print("usage: python -m repro.telemetry.schema report.json [...]")
-        return 2
-    for path in paths:
-        try:
-            with open(path) as stream:
-                data = json.load(stream)
-            validate_report(data)
-        except (OSError, ValueError, SchemaError) as exc:
-            print(f"schema: {path}: {exc}")
-            return 2
-        print(f"schema: {path}: ok "
-              f"({', '.join(sorted(data.get('probes', {}))) or 'no probes'})")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    sys.exit(main())

@@ -11,8 +11,9 @@ from repro.dse import (
     parse_objectives,
     validate_journal,
 )
-from repro.dse.schema import SchemaError, main as schema_main
+from repro.dse.schema import SchemaError
 from repro.engine.errors import ConfigError
+from repro.obs.schema import main as schema_main
 from repro.scenarios import default_spec
 
 

@@ -1,15 +1,25 @@
 """Unit tests for statistics containers."""
 
-from repro.engine.stats import BankStats, CoreStats, NetworkStats, SimStats
+from repro import VariantSpec
+from repro.engine.stats import BankStats, CoreStats, SimStats
+
+from ..conftest import increment_kernel_wait, make_machine
+
+
+def _wait_run():
+    """4 cores (one tile), 2 LRwait/SCwait increments each."""
+    machine = make_machine(4, VariantSpec.lrscwait(4))
+    counter = machine.allocator.alloc_interleaved(1)
+    machine.load_all(increment_kernel_wait(counter, 2))
+    return machine.run()
 
 
 def test_core_stats_request_counting():
-    stats = CoreStats(core_id=3)
-    stats.count_request("lw")
-    stats.count_request("lw")
-    stats.count_request("scwait")
-    assert stats.requests == {"lw": 2, "scwait": 1}
-    assert stats.total_requests == 3
+    stats = _wait_run()
+    for core in stats.cores:
+        assert core.requests == {"lrwait": 2, "scwait": 2}
+        assert core.total_requests == 4
+    assert stats.total_requests == 16
 
 
 def test_core_stats_total_cycles():
@@ -29,12 +39,11 @@ def test_bank_conflict_rate():
 
 
 def test_network_message_counting():
-    stats = NetworkStats()
-    stats.count_message("lw", 3)
-    stats.count_message("lw", 5)
-    stats.count_message("resp_lw", 3)
-    assert stats.total_messages == 3
-    assert stats.hops == 11
+    network = _wait_run().network
+    assert network.messages == {"lrwait": 8, "resp_lrwait": 8,
+                                "scwait": 8, "resp_scwait": 8}
+    assert network.total_messages == 32
+    assert network.hops == 32  # one tile: every route is one hop
 
 
 def _sim_stats_with_ops(ops_list):
@@ -81,7 +90,7 @@ def test_aggregates_sum_over_cores():
     stats.cores[1].sc_failures = 4
     stats.cores[0].active_cycles = 10
     stats.cores[1].sleep_cycles = 20
-    stats.cores[0].count_request("lr")
+    stats.cores[0].requests["lr"] = 1
     assert stats.total_sc_failures == 7
     assert stats.total_active_cycles == 10
     assert stats.total_sleep_cycles == 20

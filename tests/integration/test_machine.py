@@ -126,28 +126,31 @@ def test_bad_address_in_a_simulated_request_fails_at_issue(addr, message):
     assert machine.stats.network.messages == {}
 
 
-def test_inline_counters_match_the_stats_helpers():
+def test_inline_counters_match_the_hook_streams():
     # Core._issue and the network's send paths bump the counters in
-    # place; replaying the hook streams through CoreStats.count_request
-    # and NetworkStats.count_message must give the same tallies.
-    from repro.engine.stats import CoreStats, NetworkStats
-
+    # place; tallying the ``message`` and ``response`` hook streams
+    # must give the same counts.
     machine = make_machine(16, VariantSpec.colibri())
     counter = machine.allocator.alloc_interleaved(1)
-    network = NetworkStats()
-    cores = [CoreStats(core_id=i) for i in range(16)]
-    machine.telemetry.subscribe(
-        "message", lambda cycle, kind, cls, latency, hops:
-        network.count_message(kind, hops))
-    machine.telemetry.subscribe(
-        "response", lambda cycle, core_id, resp, waited:
-        cores[core_id].count_request(resp.op.value))
+    messages, hops = {}, [0]
+    requests = [{} for _ in range(16)]
+
+    def on_message(cycle, kind, cls, latency, hop_count):
+        messages[kind] = messages.get(kind, 0) + 1
+        hops[0] += hop_count
+
+    def on_response(cycle, core_id, resp, waited):
+        mnemonic = resp.op.value
+        requests[core_id][mnemonic] = requests[core_id].get(mnemonic, 0) + 1
+
+    machine.telemetry.subscribe("message", on_message)
+    machine.telemetry.subscribe("response", on_response)
     machine.load_all(increment_kernel_wait(counter, 3))
     stats = machine.run()
 
     assert machine.peek(counter) == 48
     assert {"successor_update", "wakeup_request"} <= set(
         stats.network.messages)
-    assert network.messages == stats.network.messages
-    assert network.hops == stats.network.hops
-    assert [c.requests for c in cores] == [c.requests for c in stats.cores]
+    assert messages == stats.network.messages
+    assert hops[0] == stats.network.hops
+    assert requests == [c.requests for c in stats.cores]
