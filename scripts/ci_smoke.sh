@@ -2,7 +2,8 @@
 # End-to-end smoke of every user-facing surface at tiny scale: the
 # scenario and variant registries, telemetry, campaigns and their
 # journals, batch execution, platform observability, the on-disk
-# control plane and the examples.  CI runs it as one job; locally run
+# control plane, the examples and the paper-scale benchmark's goldens.
+# CI runs it as one job; locally run
 #
 #     bash scripts/ci_smoke.sh
 #
@@ -250,5 +251,24 @@ python "$ROOT/examples/monitor_campaign.py"
 
 step "quickstart runs and shows the paper's headline"
 python "$ROOT/examples/quickstart.py"
+
+# -- paper-scale goldens ------------------------------------------------------
+
+# Correctness only, no timing bound: each perfbench workload must
+# reproduce its recorded event-stream goldens (perfbench/goldens.json)
+# with no failed point.  Its last output line is one JSON result.
+for workload in paper256 campaign_cold campaign_warm; do
+  step "perfbench $workload reproduces its goldens"
+  result="$(python3 "$ROOT/perfbench/run.py" --workload "$workload" \
+    --seed 0 --seconds 1)"
+  printf '%s\n' "$result"
+  printf '%s\n' "$result" | tail -n 1 | python -c "
+import json, sys
+result = json.load(sys.stdin)
+assert result['correct'] is True, result
+assert result['failed'] == 0, result
+print('goldens reproduced:', result['attempted'], 'points')
+"
+done
 
 step "smoke passed"

@@ -29,7 +29,7 @@ class Topology:
         #: ``core_tile * num_tiles + bank_tile``.  Distance depends only
         #: on the tile pair, so this stays small (#tiles²); entries are
         #: filled on first use, so building a machine computes none.
-        self._routes: list = [None] * (self._num_tiles * self._num_tiles)
+        self.routes: list = [None] * (self._num_tiles * self._num_tiles)
 
     # -- placement ---------------------------------------------------------
 
@@ -64,8 +64,9 @@ class Topology:
     def route(self, core_id: int, bank_id: int) -> tuple:
         """``(distance_class, one-way latency, hops)`` for a pair.
 
-        The single topology query of the message hot path: all three
-        values come from one memoized tile-pair lookup.  A network
+        All three values come from one memoized tile-pair lookup; the
+        network's request and response sends read :attr:`routes`
+        directly and call this only to fill a missing entry.  A network
         model with different geometry overrides :meth:`_compute_route`.
         Both ids must be in range (the address map guarantees it for
         banks); the flat table does not check.
@@ -73,10 +74,10 @@ class Topology:
         core_tile = core_id // self._cores_per_tile
         bank_tile = bank_id // self._banks_per_tile
         index = core_tile * self._num_tiles + bank_tile
-        cached = self._routes[index]
+        cached = self.routes[index]
         if cached is None:
-            cached = self._routes[index] = self._compute_route(core_tile,
-                                                               bank_tile)
+            cached = self.routes[index] = self._compute_route(core_tile,
+                                                              bank_tile)
         return cached
 
     def _compute_route(self, core_tile: int, bank_tile: int) -> tuple:

@@ -18,9 +18,11 @@ response arrives.  Compute commands run at IPC 1.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Generator, Optional
 
 from ..engine.errors import KernelError, ProtocolViolation
+from ..engine.events import PRIORITY_NORMAL
 from ..engine.simulator import Simulator
 from ..engine.stats import CoreStats
 from ..interconnect.messages import (
@@ -45,9 +47,17 @@ class Core:
         self.network = network
         self.address_map = address_map
         self.stats = stats
-        # The hub object is stable for the simulator's lifetime, so the
-        # hot paths below can cache it (one load + branch when off).
+        # The hub and tracer objects are stable for the simulator's
+        # lifetime, so the hot paths below can cache them (one load +
+        # branch when off), as they do the heap, its sequence counter
+        # and the address decode of AddressMap.bank_of.
         self._telemetry = sim.telemetry
+        self._tracer = sim.tracer
+        self._heap = sim.heap
+        self._seq = sim.seq
+        self._word_bytes = address_map.word_bytes
+        self._num_banks = address_map.num_banks
+        self._memory_bytes = address_map.memory_bytes
         # The Qnode needs qnode_cycles - 1 extra cycles to process and
         # forward a WakeUpRequest (the first cycle overlaps the event
         # that triggered it, so the default of 1 adds nothing).
@@ -95,11 +105,7 @@ class Core:
         """Schedule the first instruction at the current cycle."""
         if self._kernel is None:
             return
-        self.sim.schedule(0, self._resume)
-
-    def _resume(self) -> None:
-        """Bound re-entry callback: scheduling it allocates no closure."""
-        self._advance(None)
+        self.sim.schedule(0, self._advance, arg=None)
 
     @property
     def finished(self) -> bool:
@@ -118,7 +124,11 @@ class Core:
     # -- execution loop ---------------------------------------------------------
 
     def _advance(self, send_value) -> None:
-        """Feed the kernel until it blocks on memory or time."""
+        """Feed the kernel until it blocks on memory or time.
+
+        A memory command is issued here: it spends the 1-cycle issue
+        stage, after which :meth:`_send` injects the request.
+        """
         assert self._kernel is not None
         while True:
             try:
@@ -135,14 +145,38 @@ class Core:
             send_value = None
             # Memory commands dominate, so they are tested first.
             if isinstance(cmd, MemCmd):
-                self._issue(cmd)
+                now = self.sim.now
+                op = cmd.op
+                # Positional build; the req_id is drawn here, as the
+                # field's default factory would.
+                req = MemRequest(op, self.core_id, cmd.addr, cmd.value,
+                                 cmd.expected, next(_req_ids), now)
+                stats = self.stats
+                stats.active_cycles += 1
+                stats.instructions += 1
+                requests = stats.requests
+                requests[op.mnemonic] = requests.get(op.mnemonic, 0) + 1
+                self._outstanding = req
+                state = SLEEPING if op.is_wait else STALLED
+                if self._tracer.enabled or \
+                        self._telemetry.on_core_state is not None:
+                    self._set_state(state)
+                else:
+                    self.state = state
+                heappush(self._heap, [now + 1, PRIORITY_NORMAL,
+                                      next(self._seq), self._send, req])
                 return
             if isinstance(cmd, Compute):
-                if cmd.cycles <= 0:
+                cycles = cmd.cycles
+                if cycles <= 0:
                     continue
-                self.stats.active_cycles += cmd.cycles
-                self.stats.instructions += cmd.cycles
-                self.sim.schedule(cmd.cycles, self._resume)
+                stats = self.stats
+                stats.active_cycles += cycles
+                stats.instructions += cycles
+                # The kernel resumes with no value; ``cycles > 0``, so
+                # the entry needs none of Simulator.schedule's checks.
+                heappush(self._heap, [self.sim.now + cycles, PRIORITY_NORMAL,
+                                      next(self._seq), self._advance, None])
                 return
             if isinstance(cmd, Retire):
                 self.stats.ops_completed += cmd.count
@@ -156,40 +190,32 @@ class Core:
         self.finish_cycle = self.sim.now
 
     def _set_state(self, state: str) -> None:
-        """State transition with tracing/telemetry hooks (VCD, timelines)."""
+        """State transition with tracing/telemetry hooks (VCD, timelines).
+
+        The request path calls it only while an enabled tracer or a
+        ``core_state`` subscriber can see the change; otherwise it
+        assigns :attr:`state` directly.
+        """
         if self.state != state:
             self.state = state
-            tracer = self.sim.tracer
-            if tracer.enabled:
-                tracer.log(self.sim.now, f"core{self.core_id}",
-                           "core_state", state)
+            if self._tracer.enabled:
+                self._tracer.log(self.sim.now, f"core{self.core_id}",
+                                 "core_state", state)
             cb = self._telemetry.on_core_state
             if cb is not None:
                 cb(self.sim.now, self.core_id, state)
 
     # -- memory issue ----------------------------------------------------------------
 
-    def _issue(self, cmd: MemCmd) -> None:
-        """Spend the issue cycle, then inject the request."""
-        sim = self.sim
-        op = cmd.op
-        # Positional build; the req_id is drawn here, as the field's
-        # default factory would.
-        req = MemRequest(op, self.core_id, cmd.addr, cmd.value,
-                         cmd.expected, next(_req_ids), sim.now)
-        stats = self.stats
-        stats.active_cycles += 1
-        stats.instructions += 1
-        requests = stats.requests
-        requests[op.mnemonic] = requests.get(op.mnemonic, 0) + 1
-        self._outstanding = req
-        self._set_state(SLEEPING if op.is_wait else STALLED)
-        # The request leaves the core after the 1-cycle issue stage.
-        sim.schedule(1, self._send, arg=req)
-
     def _send(self, req: MemRequest) -> None:
+        """The issue cycle is over: the request leaves the core."""
         self._wait_started = self.sim.now
-        bank_id = self.address_map.bank_of(req.addr)
+        addr = req.addr
+        word_bytes = self._word_bytes
+        # AddressMap.bank_of, inline: check() raises the decode error.
+        if addr % word_bytes or not 0 <= addr < self._memory_bytes:
+            self.address_map.check(addr)
+        bank_id = addr // word_bytes % self._num_banks
         op = req.op
         if op.is_wait:
             if not self.qnode.try_issue_wait(req, bank_id):
@@ -209,30 +235,36 @@ class Core:
 
     def deliver_response(self, resp: MemResponse) -> None:
         """Network delivery of the response to the outstanding request."""
-        req = self._outstanding
-        if req is None or resp.core_id != self.core_id:
+        if self._outstanding is None or resp.core_id != self.core_id:
             raise KernelError(
                 f"core {self.core_id}: unexpected response {resp}")
-        waited = self.sim.now - self._wait_started
+        now = self.sim.now
+        waited = now - self._wait_started
+        stats = self.stats
         if self.state == SLEEPING:
-            self.stats.sleep_cycles += waited
+            stats.sleep_cycles += waited
         else:
-            self.stats.stalled_cycles += waited
+            stats.stalled_cycles += waited
         cb = self._telemetry.on_response
         if cb is not None:
-            cb(self.sim.now, self.core_id, resp, waited)
+            cb(now, self.core_id, resp, waited)
         self._outstanding = None
-        self._set_state(ACTIVE)
-        self._account_status(resp)
-        # The Qnode observes every response first (WakeUp dispatch).
-        self.qnode.on_response(resp)
-        self._advance(resp)
-
-    def _account_status(self, resp: MemResponse) -> None:
-        if resp.op.is_sc:
+        if self._tracer.enabled or self._telemetry.on_core_state is not None:
+            self._set_state(ACTIVE)
+        else:
+            self.state = ACTIVE
+        op = resp.op
+        # Count the outcome; the Qnode filters only wait-family
+        # responses (it ignores every other op).
+        if op.is_sc:
             if resp.status is Status.OK:
-                self.stats.sc_successes += 1
+                stats.sc_successes += 1
             else:
-                self.stats.sc_failures += 1
-        elif resp.op.is_wait and resp.status is Status.QUEUE_FULL:
-            self.stats.wait_rejections += 1
+                stats.sc_failures += 1
+            if op is Op.SCWAIT:
+                self.qnode.on_response(resp)
+        elif op.is_wait:
+            if resp.status is Status.QUEUE_FULL:
+                stats.wait_rejections += 1
+            self.qnode.on_response(resp)
+        self._advance(resp)

@@ -120,7 +120,11 @@ class Qnode:
             self.dispatched = True
 
     def on_response(self, resp: MemResponse) -> None:
-        """Filter every memory response on its way into the core."""
+        """Filter a wait-family response on its way into the core.
+
+        The core hands over only LRwait, Mwait and SCwait responses;
+        every other op leaves the node untouched.
+        """
         if resp.op is Op.SCWAIT:
             self._resolve_exit(resp)
         elif resp.op.is_wait:

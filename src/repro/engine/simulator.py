@@ -27,12 +27,23 @@ The heap itself is a small share of a simulation (``heappush`` +
 ``heappop`` are ~5% of a cProfile of the 256-core paper points), which
 is why it is not replaced by a calendar queue.  The cost is the Python
 call chain of each memory request (core → network → bank → adapter →
-response), so those paths avoid per-message indirection:
-they read :class:`~repro.interconnect.messages.Op`'s precomputed
-attributes (``mnemonic``, ``is_wait``...) instead of frozenset
-membership and ``Op.value``, bump the message/request counters in
-place, build messages positionally, decode addresses in one call and
-look routes up in a flat tile-pair list.
+core), so that chain is fused into one frame per hop that touches each
+object once: the core issues inside its kernel loop and decodes the
+bank inline; the network reads the topology's flat route table once
+per message; the bank controller services a message in place when its
+port is free; the adapter dispatches through a per-class table indexed
+by ``Op.index``; and the core calls its state-change hooks only while
+a tracer or a ``core_state`` subscriber is attached.
+
+Those hops push their entries directly onto :attr:`Simulator.heap`,
+drawing sequence numbers from :attr:`Simulator.seq` in exactly the
+order the ``schedule`` calls they replace did, so the event stream is
+unchanged.  A direct push uses only a delay that is positive by
+construction: the 1-cycle issue stage, a ``Compute`` of ``cycles > 0``,
+a route latency (``LatencyConfig.validate`` guarantees each is
+``>= 1``) or a port slot, which is never before its arrival.
+:meth:`schedule` and :meth:`schedule_at` keep their checks for every
+other caller.
 """
 
 from __future__ import annotations
@@ -49,7 +60,7 @@ class Simulator:
     """Deterministic discrete-event simulator with an integer cycle clock."""
 
     __slots__ = ("now", "max_cycles", "tracer", "telemetry", "_queue",
-                 "_heap", "_counter", "_blocked_reporters", "_finished")
+                 "heap", "seq", "_blocked_reporters", "_finished")
 
     def __init__(self, max_cycles: int = 100_000_000,
                  tracer: Optional[Tracer] = None,
@@ -67,10 +78,11 @@ class Simulator:
         #: simulation; probes subscribe here (see :mod:`repro.telemetry`).
         self.telemetry = telemetry
         self._queue = EventQueue()
-        # Aliases into the queue's internals for the zero-indirection
-        # hot path; the queue never reassigns either.
-        self._heap = self._queue._heap
-        self._counter = self._queue._counter
+        #: Aliases into the queue's internals for the zero-indirection
+        #: hot path (see "Hot-path design" above); the queue never
+        #: reassigns either, so components may alias them too.
+        self.heap = self._queue._heap
+        self.seq = self._queue._counter
         #: Callbacks returning a human-readable description of any agent
         #: still blocked; consulted when the event queue drains.
         self._blocked_reporters: list = []
@@ -90,8 +102,8 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay} at cycle {self.now}")
-        _heappush(self._heap,
-                  [self.now + delay, priority, _next(self._counter), fn, arg])
+        _heappush(self.heap,
+                  [self.now + delay, priority, _next(self.seq), fn, arg])
 
     def schedule_at(self, cycle: int, fn: Callable,
                     priority: int = PRIORITY_NORMAL, arg=NO_ARG,
@@ -100,8 +112,8 @@ class Simulator:
         if cycle < self.now:
             raise SimulationError(
                 f"cannot schedule at {cycle}, now is {self.now}")
-        _heappush(self._heap,
-                  [cycle, priority, _next(self._counter), fn, arg])
+        _heappush(self.heap,
+                  [cycle, priority, _next(self.seq), fn, arg])
 
     def schedule_event(self, delay: int, fn: Callable[[], None],
                        priority: int = PRIORITY_NORMAL) -> Event:
@@ -123,7 +135,7 @@ class Simulator:
         """
         self.now = 0
         self._finished = False
-        del self._heap[:]
+        del self.heap[:]
 
     # -- deadlock detection hooks -------------------------------------------
 
@@ -192,7 +204,7 @@ class Simulator:
         or the next live event lies past ``deadline`` (that entry goes
         back on the heap) — and ``False`` when the heap ran dry.
         """
-        heap = self._heap
+        heap = self.heap
         max_cycles = self.max_cycles
         # One bound test per new cycle: past ``limit`` either the window
         # ends (``deadline``) or the run is a runaway (``max_cycles``).
@@ -232,4 +244,4 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of queued entries (cancelled-but-unpopped included)."""
-        return len(self._heap)
+        return len(self.heap)

@@ -23,7 +23,11 @@ through the ``Op.value`` descriptor:
 * ``resp_mnemonic`` — the key of its response, ``"resp_" + value``;
 * ``is_wait`` / ``is_amo`` — membership in :data:`WAIT_OPS` /
   :data:`AMO_OPS`, from which they are derived;
-* ``is_sc`` — SC or SCwait, the ops whose response reports success.
+* ``is_sc`` — SC or SCwait, the ops whose response reports success;
+* ``index`` — the member's position in :class:`Op`, for tuple tables;
+* ``kind`` — how the base adapter services it: ``"load"`` (LW),
+  ``"store"`` (SW), ``"amo"`` (:data:`AMO_OPS`) or ``"reserved"`` (the
+  LR/SC/wait family a variant's ``handle_reserved`` serves).
 
 The frozensets stay the public API; the attributes are set from them
 once, at import, so the two cannot disagree.
@@ -61,6 +65,8 @@ class Op(Enum):
     is_wait: bool
     is_amo: bool
     is_sc: bool
+    index: int
+    kind: str
 
 
 #: Operations that modify memory when they succeed.
@@ -78,13 +84,16 @@ AMO_OPS = frozenset({
 #: Operations whose response may be withheld by the controller.
 WAIT_OPS = frozenset({Op.LRWAIT, Op.MWAIT})
 
-for _op in Op:
+for _index, _op in enumerate(Op):
+    _op.index = _index
     _op.mnemonic = _op.value
     _op.resp_mnemonic = "resp_" + _op.value
     _op.is_wait = _op in WAIT_OPS
     _op.is_amo = _op in AMO_OPS
     _op.is_sc = _op is Op.SC or _op is Op.SCWAIT
-del _op
+    _op.kind = ("load" if _op is Op.LW else "store" if _op is Op.SW
+                else "amo" if _op.is_amo else "reserved")
+del _index, _op
 
 
 class Status(Enum):

@@ -16,7 +16,12 @@ Two properties matter for correctness and fidelity:
   crossbars are non-blocking; the serialization the paper measures
   happens where requests converge on a single bank.  The request path
   therefore has constant latency here, and queueing is modelled by the
-  bank port scheduler (:mod:`repro.memory.controller`).
+  bank port scheduler (:mod:`repro.memory.controller`) — with one
+  exception: requests from outside a bank's tile first pass the tile's
+  shared ingress port (:class:`ThrottledPort`).  A saturated port
+  delays them, and every other remote request to that tile, in FIFO
+  order; this is the stage where atomics' retry storms interfere with
+  unrelated traffic (Fig. 5).
 
 Every delivery is counted in :class:`~repro.engine.stats.NetworkStats`
 (message kind + hops), which feeds the Table II energy model: the
@@ -26,9 +31,11 @@ counters.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable
 
 from ..arch.topology import Topology
+from ..engine.events import PRIORITY_NORMAL
 from ..engine.simulator import Simulator
 from ..engine.stats import NetworkStats
 from .messages import MemRequest, MemResponse, SuccessorUpdate, WakeUpRequest
@@ -75,6 +82,14 @@ class Network:
         self.sim = sim
         self.topology = topology
         self.stats = stats
+        # Hot-path aliases: the simulator's heap and sequence counter
+        # (direct pushes) and the topology's memoized route table.
+        self._heap = sim.heap
+        self._seq = sim.seq
+        self._routes = topology.routes
+        self._cores_per_tile = topology.config.cores_per_tile
+        self._banks_per_tile = topology.config.banks_per_tile
+        self._num_tiles = topology.config.num_tiles
         # Stable hub object: cached for the one-load-one-branch
         # telemetry gate on every send (see repro.telemetry.hub).
         self._telemetry = sim.telemetry
@@ -120,27 +135,23 @@ class Network:
 
     # -- sends -------------------------------------------------------------------
 
-    def _ingress_slot(self, bank_id: int, arrival: int) -> int:
-        """Pass the target tile's shared ingress port (remote requests).
-
-        Requests from outside the bank's tile queue at the tile's
-        shared ingress; a saturated port delays them — and every other
-        remote request to that tile — in FIFO order.  This models the
-        interconnect stage where atomics' retry storms interfere with
-        unrelated traffic (Fig. 5).  Local requests never call this.
-        """
-        tile = self.topology.tile_of_bank(bank_id)
-        slot = self._tile_ingress[tile].next_slot(arrival)
-        self.stats.ingress_wait_cycles += slot - arrival
-        return slot
-
     def send_request(self, req: MemRequest, bank_id: int) -> None:
-        """Core → bank: deliver a memory request after the route latency.
+        """Core → bank: deliver a memory request after the route latency
+        and, from outside the bank's tile, the tile's ingress port.
 
-        One memoized route lookup serves hop accounting and delivery
-        alike (see :meth:`~repro.arch.topology.Topology.route`).
+        One flat read of the topology's memoized route table serves hop
+        accounting and delivery alike; a miss goes through
+        :meth:`Topology.route`, which fills the entry, so a
+        :meth:`~repro.arch.topology.Topology._compute_route` override
+        holds.
         """
-        cls, latency, hops = self.topology.route(req.core_id, bank_id)
+        core_id = req.core_id
+        bank_tile = bank_id // self._banks_per_tile
+        route = self._routes[core_id // self._cores_per_tile
+                             * self._num_tiles + bank_tile]
+        if route is None:
+            route = self.topology.route(core_id, bank_id)
+        cls, latency, hops = route
         kind = req.op.mnemonic
         stats = self.stats
         messages = stats.messages
@@ -152,22 +163,37 @@ class Network:
             cb(now, kind, cls, latency, hops)
         delivery = now + latency
         if cls != "local":
-            delivery = self._ingress_slot(bank_id, delivery)
-        self.sim.schedule_at(delivery, self._bank_handlers[bank_id], arg=req)
+            slot = self._tile_ingress[bank_tile].next_slot(delivery)
+            stats.ingress_wait_cycles += slot - delivery
+            delivery = slot
+        # Route latencies are >= 1 (LatencyConfig.validate) and a port
+        # slot is never before its arrival, so the entry lies in the
+        # future and needs none of Simulator.schedule_at's checks.
+        heappush(self._heap, [delivery, PRIORITY_NORMAL, next(self._seq),
+                              self._bank_handlers[bank_id], req])
 
     def send_response(self, resp: MemResponse, bank_id: int) -> None:
         """Bank → core: deliver a response after the route latency."""
-        cls, latency, hops = self.topology.route(resp.core_id, bank_id)
+        core_id = resp.core_id
+        route = self._routes[core_id // self._cores_per_tile
+                             * self._num_tiles
+                             + bank_id // self._banks_per_tile]
+        if route is None:
+            route = self.topology.route(core_id, bank_id)
+        cls, latency, hops = route
         kind = resp.op.resp_mnemonic
         stats = self.stats
         messages = stats.messages
         messages[kind] = messages.get(kind, 0) + 1
         stats.hops += hops
+        now = self.sim.now
         cb = self._telemetry.on_message
         if cb is not None:
-            cb(self.sim.now, kind, cls, latency, hops)
-        self.sim.schedule(latency, self._core_handlers[resp.core_id],
-                          arg=resp)
+            cb(now, kind, cls, latency, hops)
+        # Route latencies are >= 1 (LatencyConfig.validate), so the
+        # entry needs none of Simulator.schedule's checks.
+        heappush(self._heap, [now + latency, PRIORITY_NORMAL, next(self._seq),
+                              self._core_handlers[core_id], resp])
 
     def send_successor_update(self, msg: SuccessorUpdate) -> None:
         """Bank → Qnode: Colibri enqueue-link message."""
@@ -200,6 +226,9 @@ class Network:
             cb(self.sim.now, "wakeup_request", cls, latency, hops)
         delivery = self.sim.now + latency
         if cls != "local":
-            delivery = self._ingress_slot(msg.bank_id, delivery)
+            tile = self.topology.tile_of_bank(msg.bank_id)
+            slot = self._tile_ingress[tile].next_slot(delivery)
+            stats.ingress_wait_cycles += slot - delivery
+            delivery = slot
         self.sim.schedule_at(delivery, self._bank_handlers[msg.bank_id],
                              arg=msg)

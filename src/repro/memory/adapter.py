@@ -18,6 +18,13 @@ from ..engine.errors import ProtocolViolation
 from ..interconnect.messages import MemRequest, Op, Status
 
 
+def _op_kinds(extra_ops: frozenset) -> tuple:
+    """Dispatch table indexed by ``Op.index``: each op's ``kind``, or
+    ``None`` for a reservation-family op outside ``extra_ops``."""
+    return tuple(None if op.kind == "reserved" and op not in extra_ops
+                 else op.kind for op in Op)
+
+
 class AtomicAdapter:
     """Services LW/SW/AMO; subclasses add reservation protocols.
 
@@ -31,6 +38,11 @@ class AtomicAdapter:
     #: Ops this adapter accepts beyond LW/SW/AMO; subclasses extend.
     EXTRA_OPS: frozenset = frozenset()
 
+    #: :meth:`handle`'s dispatch table, derived from :attr:`EXTRA_OPS`
+    #: once per class — never per adapter, since a 256-core machine
+    #: builds 1024 of them.
+    _OP_KINDS: tuple = _op_kinds(EXTRA_OPS)
+
     #: Whether :meth:`reset` restores this adapter to its post-build
     #: state.  The batch runner reuses a warm machine only when every
     #: bank adapter declares itself resettable; unknown third-party
@@ -38,6 +50,10 @@ class AtomicAdapter:
     #: Subclasses that add mutable state must either override
     #: :meth:`reset` (calling ``super().reset()``) or leave this False.
     RESETTABLE: bool = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._OP_KINDS = _op_kinds(cls.EXTRA_OPS)
 
     def __init__(self, controller) -> None:
         self.ctrl = controller
@@ -54,19 +70,23 @@ class AtomicAdapter:
     def handle(self, req: MemRequest) -> None:
         """Service one request during its bank slot."""
         op = req.op
-        if op is Op.LW:
-            self.ctrl.respond(req, value=self.ctrl.read(req.addr))
-        elif op is Op.SW:
-            self.ctrl.write(req.addr, req.value)
-            self.on_write(req.addr)
-            self.ctrl.respond(req, value=0)
-        elif op.is_amo:
-            old = self.ctrl.read(req.addr)
-            self.ctrl.write(req.addr, self._amo_result(op, old, req.value))
-            self.on_write(req.addr)
-            self.ctrl.respond(req, value=old)
-        elif op in self.EXTRA_OPS:
+        kind = self._OP_KINDS[op.index]
+        if kind == "reserved":
             self.handle_reserved(req)
+            return
+        ctrl = self.ctrl
+        if kind == "load":
+            ctrl.respond(req, value=ctrl.read(req.addr))
+        elif kind == "amo":
+            addr = req.addr
+            old = ctrl.read(addr)
+            ctrl.write(addr, self._amo_result(op, old, req.value))
+            self.on_write(addr)
+            ctrl.respond(req, value=old)
+        elif kind == "store":
+            ctrl.write(req.addr, req.value)
+            self.on_write(req.addr)
+            ctrl.respond(req, value=0)
         else:
             raise ProtocolViolation(
                 f"bank {self.ctrl.bank_id}: op {op.value} unsupported by "

@@ -18,21 +18,23 @@ class SpmBank:
         self.words = words
         self.word_bytes = word_bytes
         self.mask = (1 << (word_bytes * 8)) - 1
-        self._data = [0] * words
+        #: The rows, unsigned.  :meth:`reset` clears the list in place,
+        #: so the bank controller's alias to it stays valid.
+        self.data = [0] * words
 
     def reset(self) -> None:
         """Zero the storage in place (warm machine reuse)."""
-        self._data[:] = [0] * self.words
+        self.data[:] = [0] * self.words
 
     def read(self, row: int) -> int:
         """Return the word at ``row`` (unsigned)."""
         self._check(row)
-        return self._data[row]
+        return self.data[row]
 
     def write(self, row: int, value: int) -> None:
         """Store ``value`` at ``row``, truncated to the word width."""
         self._check(row)
-        self._data[row] = value & self.mask
+        self.data[row] = value & self.mask
 
     def to_signed(self, value: int) -> int:
         """Interpret an unsigned word as two's-complement."""

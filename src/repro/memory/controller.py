@@ -13,7 +13,10 @@ byte addresses, ``respond`` and Colibri's ``send_successor_update``.
 
 from __future__ import annotations
 
+from heapq import heappush
+
 from ..arch.address_map import AddressMap
+from ..engine.events import PRIORITY_NORMAL
 from ..engine.simulator import Simulator
 from ..engine.stats import BankStats
 from ..interconnect.messages import (
@@ -56,6 +59,13 @@ class BankController:
         self.telemetry = sim.telemetry
         self.bank = SpmBank(bank_id, address_map.words_per_bank,
                             address_map.word_bytes)
+        # Hot-path aliases: the bank's rows (cleared in place on reset)
+        # and the address decode of :meth:`AddressMap.locate`.
+        self._data = self.bank.data
+        self._mask = self.bank.mask
+        self._word_bytes = address_map.word_bytes
+        self._num_banks = address_map.num_banks
+        self._memory_bytes = address_map.memory_bytes
         self.adapter = build_adapter(self, variant, num_cores, strict)
         self.service_cycles = address_map.config.latency.bank_cycles
         #: First cycle at which the port can accept the next request.
@@ -73,22 +83,31 @@ class BankController:
     # -- port scheduling -------------------------------------------------------
 
     def receive(self, msg) -> None:
-        """Network delivery: schedule the message into the port pipeline."""
-        now = self.sim.now
-        start = max(now, self._port_free_at)
+        """Network delivery: service the message now if the port is
+        free, else queue it for the cycle the port frees up."""
+        sim = self.sim
+        now = sim.now
+        start = self._port_free_at
+        stats = self.stats
         if start > now:
-            self.stats.conflicts += 1
+            stats.conflicts += 1
+        else:
+            start = now
         self._port_free_at = start + self.service_cycles
-        self.stats.busy_cycles += self.service_cycles
+        stats.busy_cycles += self.service_cycles
         cb = self.telemetry.on_bank_access
         if cb is not None:
             cb(now, self.bank_id, msg, start - now)
         if start == now:
             self._service(msg)
         else:
-            self.sim.schedule_at(start, self._service, arg=msg)
+            # ``start > now``: the entry needs none of schedule_at's
+            # checks.
+            heappush(sim.heap, [start, PRIORITY_NORMAL, next(sim.seq),
+                                self._service, msg])
 
     def _service(self, msg) -> None:
+        """The one service body: the message holds the port this cycle."""
         self.stats.accesses += 1
         tracer = self.sim.tracer
         if tracer.enabled:
@@ -115,16 +134,32 @@ class BankController:
     # -- adapter service interface -------------------------------------------------
 
     def read(self, addr: int) -> int:
-        """Load the word at a byte address (must map to this bank)."""
-        bank, row = self.address_map.locate(addr)
-        assert bank == self.bank_id, "request routed to wrong bank"
-        return self.bank.read(row)
+        """Load the word at a byte address (must map to this bank).
+
+        Decodes as :meth:`AddressMap.locate` in one step: an address
+        that passes its alignment and range test has a row inside the
+        bank, and :meth:`AddressMap.check` raises the error otherwise.
+        """
+        word_bytes = self._word_bytes
+        if addr % word_bytes or not 0 <= addr < self._memory_bytes:
+            self.address_map.check(addr)
+        word = addr // word_bytes
+        num_banks = self._num_banks
+        assert word % num_banks == self.bank_id, \
+            "request routed to wrong bank"
+        return self._data[word // num_banks]
 
     def write(self, addr: int, value: int) -> None:
-        """Store a word at a byte address (must map to this bank)."""
-        bank, row = self.address_map.locate(addr)
-        assert bank == self.bank_id, "request routed to wrong bank"
-        self.bank.write(row, value)
+        """Store a word at a byte address (must map to this bank);
+        decoded as in :meth:`read`, truncated to the word width."""
+        word_bytes = self._word_bytes
+        if addr % word_bytes or not 0 <= addr < self._memory_bytes:
+            self.address_map.check(addr)
+        word = addr // word_bytes
+        num_banks = self._num_banks
+        assert word % num_banks == self.bank_id, \
+            "request routed to wrong bank"
+        self._data[word // num_banks] = value & self._mask
 
     def respond(self, req: MemRequest, value: int = 0,
                 status: Status = Status.OK,

@@ -24,7 +24,9 @@ import random
 
 from ..algorithms.histogram import Histogram
 from ..algorithms.matmul import Matmul
-from ..algorithms.mcs_queue import ConcurrentQueue, queue_worker_kernel
+from ..algorithms.mcs_queue import (
+    QUEUE_METHODS, ConcurrentQueue, queue_worker_kernel)
+from ..algorithms.vectorized import FLAT_RMW_METHODS
 from ..engine.errors import ConfigError
 from ..eval.points import HistogramPoint, QueuePoint
 from ..interconnect.messages import Status
@@ -57,6 +59,24 @@ def _resolve_method(method, variant) -> str:
     if method in (None, "native"):
         return variant.native_method
     return method
+
+
+def _check_method(method: str, methods: tuple, variant) -> None:
+    """Reject ``method`` before anything is simulated unless it is one
+    of the workload's ``methods`` that the variant's hardware can run:
+    ``wait`` needs ``supports_wait`` and ``lrsc`` ``supports_lrsc``."""
+    def runnable(name):
+        return (name != "wait" or variant.supports_wait) and \
+            (name != "lrsc" or variant.supports_lrsc)
+
+    if method not in methods:
+        raise ConfigError(f"unknown method {method!r}; accepted: "
+                          f"{', '.join(methods)}")
+    if not runnable(method):
+        supported = [name for name in methods if runnable(name)]
+        raise ConfigError(
+            f"variant {variant_string(variant)!r} cannot run method "
+            f"{method!r}; it supports: {', '.join(supported)}")
 
 
 def _core_count(value, name: str, machine) -> int:
@@ -107,6 +127,8 @@ class HistogramWorkload(Workload):
     def load(self, machine, spec: ScenarioSpec) -> LoadedWorkload:
         p = self.resolve_params(spec)
         method = _resolve_method(p["method"], machine.variant)
+        _check_method(method, FLAT_RMW_METHODS + ("lock",),
+                      machine.variant)
         histogram = Histogram(machine, p["bins"])
         if method == "lock":
             _attach_locks(histogram, p["lock"], p["lock_backoff_window"])
@@ -170,6 +192,7 @@ class ZipfHistogramWorkload(Workload):
             raise ConfigError(
                 "histogram_zipf supports RMW methods only "
                 "(amo/lrsc/wait); use the 'histogram' workload for locks")
+        _check_method(method, FLAT_RMW_METHODS, machine.variant)
         histogram = Histogram(machine, p["bins"])
         # Per-core deterministic hot-spot streams, precomputed so the
         # simulated kernel spends no host time drawing.
@@ -217,6 +240,7 @@ class QueueWorkload(Workload):
         p = self.resolve_params(spec)
         active = _core_count(p["active_cores"], "active_cores", machine)
         ops = p["ops_per_core"]
+        _check_method(p["method"], QUEUE_METHODS, machine.variant)
         queue = ConcurrentQueue(machine, p["method"],
                                 nodes_per_core=ops // 2 + 2)
         machine.load_range(

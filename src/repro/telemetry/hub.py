@@ -41,7 +41,7 @@ from typing import Callable
 #:   reservation/wait-queue occupancy changed.
 #: * ``message(cycle, kind, cls, latency, hops)`` — the interconnect
 #:   accepted a message of ``kind`` over a route of distance class
-#:   ``cls`` (``local``/``group``/``remote``).
+#:   ``cls`` (``local``/``group``/``global``).
 #: * ``response(cycle, core_id, resp, waited)`` — a core received the
 #:   response to its outstanding request after ``waited`` cycles.
 HOOKS = ("bank_access", "bank_response", "core_state", "queue_depth",

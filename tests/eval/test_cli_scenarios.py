@@ -68,6 +68,30 @@ def test_run_bad_variant_param_exits_2(capsys):
     assert "addresses" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["queue", "--variant", "lrsc"],
+     "variant 'lrsc' cannot run method 'wait'; it supports: lrsc, lock"),
+    (["queue", "--set", "method=bogus"],
+     "unknown method 'bogus'; accepted: lrsc, wait, lock"),
+    (["queue", "--set", "method=native"],
+     "unknown method 'native'; accepted: lrsc, wait, lock"),
+    (["histogram", "--variant", "amo", "--set", "method=lrsc"],
+     "variant 'amo' cannot run method 'lrsc'; it supports: amo, lock"),
+    (["histogram_zipf", "--variant", "lrsc", "--set", "method=wait"],
+     "variant 'lrsc' cannot run method 'wait'; it supports: amo, lrsc"),
+], ids=["queue-wait-on-lrsc", "queue-bogus", "queue-native",
+        "histogram-lrsc-on-amo", "zipf-wait-on-lrsc"])
+def test_run_rejects_a_method_the_variant_cannot_run(capsys, argv,
+                                                     message):
+    """Rejected at load, before any simulation: a config error with
+    exit code 2, not a mid-run protocol violation or a traceback."""
+    code = main(["run", *argv, "--cores", "8"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.strip() == f"repro: {message}"
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_sweep_variant_param_axis(capsys):
     out = run_cli(capsys, ["sweep", "histogram", "--cores", "8",
                            "--set", "updates_per_core=2",
