@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end smoke of every user-facing surface at tiny scale: the
 # scenario and variant registries, telemetry, campaigns and their
-# journals, batch execution, platform observability, the on-disk
+# journals, the --batch no-op, platform observability, the on-disk
 # control plane, the examples and the paper-scale benchmark's goldens.
 # CI runs it as one job; locally run
 #
@@ -129,16 +129,16 @@ repro cache prune --cache-dir .ci-dse-cache --max-entries 2
 step "trade-off exploration example"
 python "$ROOT/examples/explore_tradeoff.py"
 
-# -- batch execution ----------------------------------------------------------
+# -- --batch (accepted, no effect) --------------------------------------------
 
-step "batched sweep output is identical to the sequential sweep"
+step "--batch sweep output is identical to the plain sweep"
 repro sweep histogram --cores 8 --set updates_per_core=2 \
   --axis bins=1,4 --axis method=amo,wait > sweep-plain.txt
 repro sweep histogram --cores 8 --set updates_per_core=2 \
   --axis bins=1,4 --axis method=amo,wait --batch > sweep-batch.txt
 diff sweep-plain.txt sweep-batch.txt
 
-step "batched explore journal is identical for the same seed"
+step "--batch explore journal is identical for the same seed"
 # wall_ms is real measured time, the one journal field allowed to
 # differ between the two runs; everything else must match byte for byte.
 repro explore histogram --smoke \
@@ -163,15 +163,16 @@ def load(path):
 
 plain = load("explore-plain/journal.json")
 batch = load("explore-batch/journal.json")
-assert batch == plain, "batched journal differs beyond wall_ms"
+assert batch == plain, "--batch journal differs beyond wall_ms"
 print("journals identical (wall_ms stripped)")
 EOF
 
-step "batch + parallel jobs is refused with exit 2"
-if repro sweep histogram --cores 8 --set updates_per_core=2 \
-    --axis bins=1,4 --batch --jobs 2; then
-  echo "--batch --jobs 2 should exit 2"; exit 1
-fi
+step "batch + parallel jobs output is identical to parallel jobs"
+repro sweep histogram --cores 8 --set updates_per_core=2 \
+  --axis bins=1,4 --jobs 2 > sweep-jobs.txt
+repro sweep histogram --cores 8 --set updates_per_core=2 \
+  --axis bins=1,4 --batch --jobs 2 > sweep-batch-jobs.txt
+diff sweep-jobs.txt sweep-batch-jobs.txt
 
 # -- platform observability ---------------------------------------------------
 

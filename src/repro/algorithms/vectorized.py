@@ -25,7 +25,7 @@ kernel bodies behind the existing :class:`Workload` API and
 * shared command singletons (``Retire(1)``, ``Compute(1)``...) are safe
   because the core FSM only reads command fields.
 
-``tests/scenarios/test_batch.py`` goldens each driver against the
+``tests/algorithms/test_vectorized.py`` goldens each driver against the
 scalar kernel it replaces, per RMW method.
 """
 

@@ -39,14 +39,6 @@ class Allocator:
         #: Per-bank high watermark for pinned allocation (exclusive).
         self._high_row = [config.words_per_bank] * config.num_banks
 
-    def reset(self) -> None:
-        """Release everything (warm machine reuse): both watermarks
-        return to their post-construction positions, so a re-run
-        workload replays the identical allocation sequence."""
-        self._low_row = 0
-        self._low_word = 0
-        self._high_row[:] = [self.config.words_per_bank] * self.config.num_banks
-
     # -- interleaved allocation ------------------------------------------------
 
     def alloc_interleaved(self, num_words: int) -> int:

@@ -113,7 +113,7 @@ def _add_obs(parser: argparse.ArgumentParser) -> None:
     """Platform-observability options (commands that run many points)."""
     parser.add_argument("--obs-trace", default=None, metavar="FILE",
                         help="record harness spans and metrics (cache "
-                             "hits, pool reuse, points/sec) and export "
+                             "hits, points/sec) and export "
                              "them as Chrome trace-event JSON to FILE "
                              "(open in Perfetto or chrome://tracing; "
                              "summarize with 'repro obs summary FILE')")
@@ -283,10 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="export format for --out: one JSON document "
                           "or one tidy CSV table")
     swp.add_argument("--batch", action="store_true",
-                     help="run all points in one warm process, reusing "
-                          "machines across points that share a shape/"
-                          "variant/seed (bit-identical results; "
-                          "incompatible with --jobs)")
+                     help="accepted for compatibility; has no effect "
+                          "(every point builds its machine fresh)")
     _add_jobs(swp)
     _add_obs(swp)
 
@@ -347,10 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--width", type=int, default=56,
                          help="character width of the frontier plot")
     explore.add_argument("--batch", action="store_true",
-                         help="evaluate each campaign batch in one warm "
-                              "process with pooled machines (bit-"
-                              "identical journal; incompatible with "
-                              "--jobs)")
+                         help="accepted for compatibility; has no "
+                              "effect (every point builds its machine "
+                              "fresh)")
     explore.add_argument("--events", action="store_true",
                          help="write the campaign control plane next to "
                               "the journal: an append-only "
@@ -604,8 +601,7 @@ def cmd_sweep(args) -> str:
     axes = _parse_axes(args.axes)
     base = _build_spec(args)
     jobs, cache = _runner_options(args)
-    outcomes = sweep_scenarios(base, axes, jobs=jobs, cache=cache,
-                               batch=args.batch)
+    outcomes = sweep_scenarios(base, axes, jobs=jobs, cache=cache)
     axis_keys = list(axes)
     metric_keys = sorted({key for _combo, result in outcomes
                           for key in result.metrics})
@@ -745,7 +741,7 @@ def cmd_explore(args) -> str:
         base=base, space=space, sampler=args.sampler,
         objectives=objectives, budget=args.budget, seed=base.seed,
         jobs=jobs, cache=cache, journal_file=journal_file,
-        resume=resume_doc, batch=args.batch)
+        resume=resume_doc)
     events_file = None
     if args.events:
         if not directory:

@@ -69,10 +69,6 @@ class CoreApi:
         #: Per-core deterministic RNG (workload address streams).
         self.rng = random.Random((seed << 20) ^ core_id)
 
-    def reseed(self, seed: int) -> None:
-        """Rewind the RNG to its post-construction stream (warm reuse)."""
-        self.rng.seed((seed << 20) ^ self.core_id)
-
     # -- plain memory ---------------------------------------------------------
 
     def lw(self, addr: int):

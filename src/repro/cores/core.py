@@ -76,22 +76,6 @@ class Core:
         network.register_core(core_id, self.deliver_response)
         network.register_qnode(core_id, self.qnode.on_successor_update)
 
-    def reset(self) -> None:
-        """Detach the kernel and return to ``IDLE`` (warm machine reuse).
-
-        The state is assigned directly rather than through
-        :meth:`_set_state`: a reset is bookkeeping between runs, not a
-        simulated transition, so it must not emit trace or telemetry
-        events.  Per-core counters live in :class:`CoreStats`, reset
-        separately by the owning machine.
-        """
-        self.state = IDLE
-        self._kernel = None
-        self._outstanding = None
-        self._wait_started = 0
-        self.finish_cycle = None
-        self.qnode.reset()
-
     # -- kernel control -----------------------------------------------------
 
     def load(self, kernel: Generator) -> None:

@@ -62,15 +62,6 @@ class Qnode:
         #: Wait op the core issued while the node still owed a bounce.
         self._stalled: Optional[tuple] = None
 
-    def reset(self) -> None:
-        """Disarm completely (warm machine reuse)."""
-        self.armed_addr = None
-        self.armed_bank = None
-        self.successor = None
-        self.passed = False
-        self.dispatched = False
-        self._stalled = None
-
     # -- state queries -----------------------------------------------------
 
     @property

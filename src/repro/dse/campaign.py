@@ -167,10 +167,10 @@ class Campaign:
     or a ready :class:`~repro.dse.samplers.Sampler` instance.  When
     ``journal_file`` is set the journal is rewritten atomically after
     every batch; ``resume`` (a loaded journal dict) replays its records
-    before anything simulates.  ``cache``/``jobs``/``batch`` flow to
+    before anything simulates.  ``cache``/``jobs`` flow to
     :func:`run_scenarios` unchanged — except for telemetry objectives,
-    which force probed, serial, cache-less evaluation (probed machines
-    cannot be pooled, so ``batch`` never applies to them).
+    which force probed, serial, cache-less evaluation.  ``batch`` is
+    accepted for compatibility and has no effect.
     """
 
     def __init__(self, base: ScenarioSpec, space: SearchSpace, sampler,
@@ -182,11 +182,6 @@ class Campaign:
         if not isinstance(budget, int) or budget < 1:
             raise ConfigError(
                 f"campaign budget must be a positive int, got {budget!r}")
-        if batch and jobs != 1:
-            raise ConfigError(
-                f"batch execution runs all points in one warm process and "
-                f"is incompatible with jobs={jobs!r}; drop --jobs or "
-                f"--batch")
         if not objectives:
             raise ConfigError("a campaign needs at least one objective")
         self.base = base
@@ -205,7 +200,6 @@ class Campaign:
         self.budget = budget
         self.seed = seed
         self.jobs = jobs
-        self.batch = batch
         self.cache = cache
         self.journal_file = journal_file
         self.probes = sorted({o.probe for o in self.objectives
@@ -301,7 +295,7 @@ class Campaign:
             events.emit("campaign_started", workload=self.base.workload,
                         sampler=self.sampler.name, budget=self.budget,
                         seed=self.seed, jobs=self.jobs,
-                        batch=self.batch, resumed=len(replay))
+                        resumed=len(replay))
         with OBS.span("campaign", cat="campaign",
                       workload=self.base.workload, budget=self.budget,
                       sampler=self.sampler.name):
@@ -482,7 +476,7 @@ class Campaign:
         return paid, truncated
 
     def _simulate(self, specs: list) -> list:
-        """Fresh simulations, pooled — or probed and serial when the
+        """Fresh simulations, sharded — or probed and serial when the
         objectives read telemetry (probe data is per-execution and
         never cached, so those runs stay in-process)."""
         if not specs:
@@ -490,8 +484,7 @@ class Campaign:
         if self.probes:
             return [run_scenario(spec, probes=list(self.probes))
                     for spec in specs]
-        return run_scenarios(specs, jobs=self.jobs, cache=self.cache,
-                             batch=self.batch)
+        return run_scenarios(specs, jobs=self.jobs, cache=self.cache)
 
     # -- journal --------------------------------------------------------------
 

@@ -122,21 +122,6 @@ class Simulator:
             raise SimulationError(f"negative delay {delay} at cycle {self.now}")
         return self._queue.push(self.now + delay, fn, priority)
 
-    def reset(self) -> None:
-        """Rewind the clock and drop every queued event (warm reuse).
-
-        Used by the batch runner to return a finished simulator to its
-        post-construction state without rebuilding.  The heap is cleared
-        *in place* — components hold aliases into it — and the event
-        counter deliberately keeps counting: sequence numbers only break
-        ties between same-cycle entries relatively, so continuing the
-        count cannot change any observable ordering.  Registered blocked
-        reporters are kept; they belong to the machine, not to one run.
-        """
-        self.now = 0
-        self._finished = False
-        del self.heap[:]
-
     # -- deadlock detection hooks -------------------------------------------
 
     def add_blocked_reporter(self, fn: Callable[[], list]) -> None:

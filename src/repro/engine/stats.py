@@ -48,30 +48,6 @@ class CoreStats:
     #: queue accesses...).  Kernels bump this through ``CoreApi.retire()``.
     ops_completed: int = 0
 
-    def reset(self) -> None:
-        """Zero every counter (warm machine reuse); keeps ``core_id``."""
-        self.active_cycles = 0
-        self.stalled_cycles = 0
-        self.sleep_cycles = 0
-        self.instructions = 0
-        self.requests.clear()
-        self.sc_failures = 0
-        self.sc_successes = 0
-        self.wait_rejections = 0
-        self.ops_completed = 0
-
-    def snapshot(self) -> "CoreStats":
-        """A detached, equal copy (cheap ``deepcopy`` for warm reuse)."""
-        return CoreStats(
-            core_id=self.core_id, active_cycles=self.active_cycles,
-            stalled_cycles=self.stalled_cycles,
-            sleep_cycles=self.sleep_cycles,
-            instructions=self.instructions,
-            requests=dict(self.requests), sc_failures=self.sc_failures,
-            sc_successes=self.sc_successes,
-            wait_rejections=self.wait_rejections,
-            ops_completed=self.ops_completed)
-
     @property
     def total_requests(self) -> int:
         """All memory requests issued by this core."""
@@ -99,22 +75,6 @@ class BankStats:
     #: Reservations killed by an interfering write.
     reservations_invalidated: int = 0
 
-    def reset(self) -> None:
-        """Zero every counter (warm machine reuse); keeps ``bank_id``."""
-        self.accesses = 0
-        self.conflicts = 0
-        self.busy_cycles = 0
-        self.reservations_placed = 0
-        self.reservations_invalidated = 0
-
-    def snapshot(self) -> "BankStats":
-        """A detached, equal copy (cheap ``deepcopy`` for warm reuse)."""
-        return BankStats(
-            bank_id=self.bank_id, accesses=self.accesses,
-            conflicts=self.conflicts, busy_cycles=self.busy_cycles,
-            reservations_placed=self.reservations_placed,
-            reservations_invalidated=self.reservations_invalidated)
-
     @property
     def conflict_rate(self) -> float:
         """Fraction of requests that queued behind a busy port."""
@@ -135,17 +95,6 @@ class NetworkStats:
     #: the interference metric behind Fig. 5.
     ingress_wait_cycles: int = 0
 
-    def reset(self) -> None:
-        """Zero every counter (warm machine reuse)."""
-        self.messages.clear()
-        self.hops = 0
-        self.ingress_wait_cycles = 0
-
-    def snapshot(self) -> "NetworkStats":
-        """A detached, equal copy (cheap ``deepcopy`` for warm reuse)."""
-        return NetworkStats(messages=dict(self.messages), hops=self.hops,
-                            ingress_wait_cycles=self.ingress_wait_cycles)
-
     @property
     def total_messages(self) -> int:
         """All messages delivered by the interconnect."""
@@ -165,32 +114,6 @@ class SimStats:
     #: that produced this run (set by :class:`~repro.machine.Machine`);
     #: lets the energy model apply the variant's registered cost hook.
     variant: object = None
-
-    def reset(self) -> None:
-        """Zero every counter tree (warm machine reuse); keeps
-        ``variant`` and the per-core/per-bank object identities."""
-        for core in self.cores:
-            core.reset()
-        for bank in self.banks:
-            bank.reset()
-        self.network.reset()
-        self.cycles = 0
-
-    def snapshot(self) -> "SimStats":
-        """A detached copy that compares equal to this tree.
-
-        The hand-rolled equivalent of ``copy.deepcopy`` for the one
-        shape that matters on the batch hot path — detaching a pooled
-        machine's counters into a result costs microseconds instead of
-        the ~half millisecond generic deepcopy spends re-discovering
-        the structure.  ``variant`` is shared, not copied: it is the
-        immutable spec of the producing machine.
-        """
-        return SimStats(
-            cores=[core.snapshot() for core in self.cores],
-            banks=[bank.snapshot() for bank in self.banks],
-            network=self.network.snapshot(),
-            cycles=self.cycles, variant=self.variant)
 
     # -- aggregate helpers -------------------------------------------------
 

@@ -68,11 +68,6 @@ class ThrottledPort:
         self._used = 1
         return self._cycle
 
-    def reset(self) -> None:
-        """Forget the token window (warm machine reuse)."""
-        self._cycle = -1
-        self._used = 0
-
 
 class Network:
     """Latency-accurate message delivery between cores and banks."""
@@ -106,15 +101,6 @@ class Network:
         self._core_handlers: dict = {}
         #: core_id -> callable(SuccessorUpdate)  (the Qnode input port)
         self._qnode_handlers: dict = {}
-
-    def reset(self) -> None:
-        """Reset the ingress throttles (warm machine reuse).
-
-        Handler registrations are construction-time wiring and stay;
-        message counters live in :class:`NetworkStats`, reset separately.
-        """
-        for port in self._tile_ingress:
-            port.reset()
 
     # -- endpoint registration ------------------------------------------------
 

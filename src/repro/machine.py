@@ -55,6 +55,9 @@ class Machine:
                  tracer: Optional[Tracer] = None,
                  telemetry: Optional[Telemetry] = None) -> None:
         config.validate()
+        #: The constructor arguments, for :meth:`reset`.
+        self._build_args = (config, variant, seed, strict, max_cycles,
+                            tracer, telemetry)
         self.config = config
         self.variant = variant
         self.seed = seed
@@ -93,50 +96,22 @@ class Machine:
         self._loaded: list = []
         self.sim.add_blocked_reporter(self._blocked_cores)
 
-    # -- warm reuse ---------------------------------------------------------
-
-    @property
-    def resettable(self) -> bool:
-        """True when every bank adapter declares itself
-        :attr:`~repro.memory.adapter.AtomicAdapter.RESETTABLE`, i.e.
-        :meth:`reset` restores the exact post-build state.  Third-party
-        adapters that don't opt in force the batch runner to rebuild."""
-        return all(bank.adapter.RESETTABLE for bank in self.banks)
-
     def reset(self) -> None:
-        """Restore the post-construction state without rebuilding.
+        """Rebuild this machine in place from its constructor arguments.
 
-        After ``reset()`` the machine behaves bit-identically to a
-        freshly constructed ``Machine(config, variant, seed=seed, ...)``:
-        clock at zero, memory zeroed, adapters empty, allocator rewound,
-        per-core RNG streams rewound, all counters zero.  This is the
-        primitive the batch runner amortizes ``build_machine`` with.
+        Afterwards it is a fresh ``Machine(config, variant, seed=seed,
+        ...)``: clock at zero, memory zeroed, adapters empty, allocator
+        rewound, per-core RNG streams rewound, all counters zero.
 
         Raises :class:`~repro.engine.errors.SimulationError` when the
         machine has attached probes (probe state is per-run; probed runs
-        must use a fresh machine) or a non-resettable adapter.
+        must use a fresh machine).
         """
         from .engine.errors import SimulationError
         if self.probes:
             raise SimulationError(
                 "cannot reset a machine with attached probes")
-        if not self.resettable:
-            bad = sorted({type(b.adapter).__name__ for b in self.banks
-                          if not b.adapter.RESETTABLE})
-            raise SimulationError(
-                f"adapter(s) {', '.join(bad)} not RESETTABLE; "
-                f"rebuild the machine instead")
-        self.sim.reset()
-        self.network.reset()
-        self.stats.reset()
-        for bank in self.banks:
-            bank.reset()
-        for core in self.cores:
-            core.reset()
-        for api in self.apis:
-            api.reseed(self.seed)
-        self.allocator.reset()
-        self._loaded.clear()
+        self.__init__(*self._build_args)
 
     # -- kernel loading -----------------------------------------------------
 

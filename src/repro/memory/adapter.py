@@ -33,6 +33,10 @@ class AtomicAdapter:
     service cycle, exactly like combinational adapter logic next to the
     SRAM.  Outgoing messages (responses, SuccessorUpdates) are handed to
     the controller, which puts them on the network.
+
+    Adapters need no reset: every machine builds its adapters fresh, so
+    a plug-in keeps its mutable state in plain attributes set up in
+    ``__init__``.
     """
 
     #: Ops this adapter accepts beyond LW/SW/AMO; subclasses extend.
@@ -43,27 +47,12 @@ class AtomicAdapter:
     #: builds 1024 of them.
     _OP_KINDS: tuple = _op_kinds(EXTRA_OPS)
 
-    #: Whether :meth:`reset` restores this adapter to its post-build
-    #: state.  The batch runner reuses a warm machine only when every
-    #: bank adapter declares itself resettable; unknown third-party
-    #: adapters default to ``False`` and force a rebuild per point.
-    #: Subclasses that add mutable state must either override
-    #: :meth:`reset` (calling ``super().reset()``) or leave this False.
-    RESETTABLE: bool = False
-
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._OP_KINDS = _op_kinds(cls.EXTRA_OPS)
 
     def __init__(self, controller) -> None:
         self.ctrl = controller
-
-    def reset(self) -> None:
-        """Discard all reservation/queue state, as if freshly built.
-
-        Only meaningful when :attr:`RESETTABLE` is true; the base
-        adapter keeps no mutable state, so the default is a no-op.
-        """
 
     # -- main dispatch -------------------------------------------------------
 
@@ -148,8 +137,6 @@ class AmoAdapter(AtomicAdapter):
     #: without a valid reservation to simply fail, and software written
     #: against LR/SC should degrade, not crash, on an AMO-only unit.
     EXTRA_OPS = frozenset({Op.SC})
-
-    RESETTABLE = True
 
     def handle_reserved(self, req: MemRequest) -> None:
         if req.op is Op.SC:

@@ -18,13 +18,8 @@ class SpmBank:
         self.words = words
         self.word_bytes = word_bytes
         self.mask = (1 << (word_bytes * 8)) - 1
-        #: The rows, unsigned.  :meth:`reset` clears the list in place,
-        #: so the bank controller's alias to it stays valid.
+        #: The rows, unsigned.
         self.data = [0] * words
-
-    def reset(self) -> None:
-        """Zero the storage in place (warm machine reuse)."""
-        self.data[:] = [0] * self.words
 
     def read(self, row: int) -> int:
         """Return the word at ``row`` (unsigned)."""

@@ -69,18 +69,12 @@ class ColibriAdapter(AtomicAdapter):
 
     EXTRA_OPS = frozenset({Op.LRWAIT, Op.SCWAIT, Op.MWAIT})
 
-    RESETTABLE = True
-
     def __init__(self, controller, num_addresses: int = 4,
                  strict: bool = True) -> None:
         super().__init__(controller)
         self.num_addresses = num_addresses
         self.strict = strict
         self._queues: dict = {}  # addr -> _ColibriQueue
-        self._last_depth = 0
-
-    def reset(self) -> None:
-        self._queues.clear()
         self._last_depth = 0
 
     def _note_depth(self) -> None:

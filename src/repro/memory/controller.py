@@ -59,8 +59,8 @@ class BankController:
         self.telemetry = sim.telemetry
         self.bank = SpmBank(bank_id, address_map.words_per_bank,
                             address_map.word_bytes)
-        # Hot-path aliases: the bank's rows (cleared in place on reset)
-        # and the address decode of :meth:`AddressMap.locate`.
+        # Hot-path aliases: the bank's rows and the address decode of
+        # :meth:`AddressMap.locate`.
         self._data = self.bank.data
         self._mask = self.bank.mask
         self._word_bytes = address_map.word_bytes
@@ -71,14 +71,6 @@ class BankController:
         #: First cycle at which the port can accept the next request.
         self._port_free_at = 0
         network.register_bank(bank_id, self.receive)
-
-    def reset(self) -> None:
-        """Return the bank to its post-build state (warm machine reuse):
-        idle port, zeroed storage, empty adapter.  Only legal when the
-        adapter declares :attr:`~AtomicAdapter.RESETTABLE`."""
-        self._port_free_at = 0
-        self.bank.reset()
-        self.adapter.reset()
 
     # -- port scheduling -------------------------------------------------------
 

@@ -62,10 +62,6 @@ class LrscBackoffAdapter(LrscAdapter):
         #: core_id -> delay (cycles) its *next* SC failure is held for.
         self._penalty: dict = {}
 
-    def reset(self) -> None:
-        super().reset()
-        self._penalty.clear()
-
     def _handle_sc(self, req: MemRequest) -> None:
         if self._reservation == (req.core_id, req.addr):
             self._penalty.pop(req.core_id, None)

@@ -32,15 +32,10 @@ class LrscAdapter(AtomicAdapter):
 
     EXTRA_OPS = frozenset({Op.LR, Op.SC})
 
-    RESETTABLE = True
-
     def __init__(self, controller) -> None:
         super().__init__(controller)
         #: The one slot: ``(core_id, addr)`` or ``None``.
         self._reservation: Optional[tuple] = None
-
-    def reset(self) -> None:
-        self._reservation = None
 
     # -- protocol ------------------------------------------------------------
 

@@ -38,15 +38,10 @@ class LrscTableAdapter(AtomicAdapter):
 
     EXTRA_OPS = frozenset({Op.LR, Op.SC})
 
-    RESETTABLE = True
-
     def __init__(self, controller) -> None:
         super().__init__(controller)
         #: core_id -> reserved byte address (one live slot per core).
         self._table: dict = {}
-
-    def reset(self) -> None:
-        self._table.clear()
 
     def handle_reserved(self, req: MemRequest) -> None:
         if req.op is Op.LR:
@@ -86,15 +81,10 @@ class LrscBankAdapter(AtomicAdapter):
 
     EXTRA_OPS = frozenset({Op.LR, Op.SC})
 
-    RESETTABLE = True
-
     def __init__(self, controller) -> None:
         super().__init__(controller)
         #: Cores currently holding the bank-wide reservation bit.
         self._reserved: set = set()
-
-    def reset(self) -> None:
-        self._reserved.clear()
 
     def handle_reserved(self, req: MemRequest) -> None:
         if req.op is Op.LR:

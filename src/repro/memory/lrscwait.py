@@ -48,8 +48,6 @@ class LrscWaitAdapter(AtomicAdapter):
 
     EXTRA_OPS = frozenset({Op.LRWAIT, Op.SCWAIT, Op.MWAIT})
 
-    RESETTABLE = True
-
     def __init__(self, controller, queue_slots: Optional[int],
                  strict: bool = True) -> None:
         super().__init__(controller)
@@ -58,10 +56,6 @@ class LrscWaitAdapter(AtomicAdapter):
         self.queue_slots = queue_slots
         self.strict = strict
         self._queues: dict = {}  # addr -> deque[_Waiter]
-        self._occupancy = 0
-
-    def reset(self) -> None:
-        self._queues.clear()
         self._occupancy = 0
 
     # -- protocol ---------------------------------------------------------------

@@ -39,6 +39,11 @@ from typing import Optional
 
 from ..engine.errors import ConfigError
 from ..registry import Registry
+from .adapter import AmoAdapter
+from .colibri import ColibriAdapter
+from .lrsc import LrscAdapter
+from .lrsc_variants import LrscBankAdapter, LrscTableAdapter
+from .lrscwait import LrscWaitAdapter
 
 
 class UnknownVariantError(ConfigError):
@@ -427,7 +432,6 @@ class AmoVariant(AtomicVariant):
     native_method = "amo"
 
     def make_adapter(self, controller, params, num_cores, strict):
-        from .adapter import AmoAdapter
         return AmoAdapter(controller)
 
     def label(self, params):
@@ -444,7 +448,6 @@ class LrscVariant(AtomicVariant):
     native_method = "lrsc"
 
     def make_adapter(self, controller, params, num_cores, strict):
-        from .lrsc import LrscAdapter
         return LrscAdapter(controller)
 
     def label(self, params):
@@ -465,7 +468,6 @@ class LrscTableVariant(AtomicVariant):
     native_method = "lrsc"
 
     def make_adapter(self, controller, params, num_cores, strict):
-        from .lrsc_variants import LrscTableAdapter
         return LrscTableAdapter(controller)
 
     def label(self, params):
@@ -488,7 +490,6 @@ class LrscBankVariant(AtomicVariant):
     native_method = "lrsc"
 
     def make_adapter(self, controller, params, num_cores, strict):
-        from .lrsc_variants import LrscBankAdapter
         return LrscBankAdapter(controller)
 
     def label(self, params):
@@ -519,7 +520,6 @@ class LrscWaitVariant(AtomicVariant):
     native_method = "wait"
 
     def make_adapter(self, controller, params, num_cores, strict):
-        from .lrscwait import LrscWaitAdapter
         slots = params["queue_slots"]
         if slots is None:
             slots = num_cores  # ideal: one slot per core can never fill
@@ -562,7 +562,6 @@ class ColibriVariant(AtomicVariant):
     native_method = "wait"
 
     def make_adapter(self, controller, params, num_cores, strict):
-        from .colibri import ColibriAdapter
         return ColibriAdapter(controller,
                               num_addresses=params["num_addresses"],
                               strict=strict)

@@ -1,17 +1,16 @@
 """Platform observability: spans, metrics, trace export, control plane.
 
 PR 3's telemetry watches the *simulated machine*; this package watches
-the *harness running it* — the runner and its cache, the warm-machine
-pool, the campaign engine.  One process-wide session (:data:`OBS`)
-collects:
+the *harness running it* — the runner and its cache, the campaign
+engine.  One process-wide session (:data:`OBS`) collects:
 
 * nested wall-clock **spans** (``campaign → schedule-batch → point →
   build/run/collect-stats``) that merge deterministically across
   ``--jobs`` worker processes and export as Chrome trace-event JSON
   for Perfetto / ``chrome://tracing``;
-* **metrics** — cache hit/miss/store/evict counters, pool build/reset
-  counters, campaign budget gauges, per-category span timers and
-  power-of-two latency **histograms** (p50/p90/p99);
+* **metrics** — cache hit/miss/store/evict counters, campaign budget
+  gauges, per-category span timers and power-of-two latency
+  **histograms** (p50/p90/p99);
 * opt-in per-phase **cProfile** accumulation (``--profile``);
 * the on-disk **campaign control plane** — an append-only
   ``events.jsonl`` of state transitions (:mod:`~repro.obs.eventlog`)

@@ -2,11 +2,11 @@
 
 The simulator's own counters (:mod:`repro.engine.stats`) measure the
 *simulated machine*; this registry measures the *harness running it* —
-cache hits, pool reuse, points per second.  Three shapes cover every
+cache hits, points per second.  Three shapes cover every
 instrumentation site:
 
 * **counters** — monotonically increasing event counts (``cache.hit``,
-  ``pool.build``): :meth:`MetricsRegistry.inc`;
+  ``campaign.free``): :meth:`MetricsRegistry.inc`;
 * **gauges** — last-written point-in-time values
   (``campaign.budget_remaining``): :meth:`MetricsRegistry.gauge`;
 * **timers** — duration distributions (``span.point``,

@@ -8,8 +8,8 @@ module holds the pieces they share — :class:`SchemaError`,
 Chrome-trace checks; the report, journal and event-log checks live
 beside their writers in :mod:`repro.telemetry.schema`,
 :mod:`repro.dse.schema` and :mod:`repro.obs.eventlog`.  It imports
-nothing but the error hierarchy, so the engine's batch pool can
-report through :mod:`repro.obs` without an import cycle.
+nothing but the error hierarchy, so any layer can report through
+:mod:`repro.obs` without an import cycle.
 
 CI validates every artifact it uploads, so a layout that drifts fails
 the pipeline instead of shipping a file Perfetto, ``repro frontier`` or

@@ -240,7 +240,7 @@ class ObsSession:
         ``ts``/``dur`` are microseconds relative to :meth:`enable`, so
         the trace starts near zero in Perfetto.  The metrics snapshot
         rides along in ``otherData`` (viewers ignore it), which lets
-        ``repro obs summary`` report cache/pool/throughput figures from
+        ``repro obs summary`` report cache and throughput figures from
         the trace file alone.
         """
         origin = self.origin

@@ -5,7 +5,7 @@ artifact the platform leaves behind:
 
 * an ``--obs-trace`` Chrome trace: wall clock and per-category busy
   time come from the ``span.<cat>`` timers embedded in ``otherData``,
-  cache and pool ratios from the counters — no span re-walking;
+  the cache hit rate from the counters — no span re-walking;
 * a campaign ``journal.json``: the ``wall_ms``/``cache_hit`` fields
   each evaluation records (journal v2) attribute campaign time with no
   trace file at all, which is what ``repro explore`` runs in bulk CI
@@ -63,8 +63,6 @@ def trace_rows(document: dict, strict: bool = True) -> list:
     busy_s = timers.get("span.point", {}).get("total_s", 0.0)
     hits = counters.get("cache.hit", 0)
     misses = counters.get("cache.miss", 0)
-    builds = counters.get("pool.build", 0)
-    resets = counters.get("pool.reset", 0)
     rows = [
         ("wall clock (s)", round(wall_s, 3)),
         ("spans", len(spans)),
@@ -75,7 +73,6 @@ def trace_rows(document: dict, strict: bool = True) -> list:
         ("cache hit rate", _ratio(hits, hits + misses)),
         ("cache stores", counters.get("cache.store", 0)),
         ("cache evictions", counters.get("cache.evict", 0)),
-        ("pool reuse ratio", _ratio(resets, builds + resets)),
     ]
     for name in sorted(timers):
         if not name.startswith("span."):

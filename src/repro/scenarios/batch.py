@@ -1,99 +1,10 @@
-"""Batched scenario execution: many specs through warm machines.
+"""Re-exports :func:`~repro.scenarios.run.execute` under its old module.
 
-The sequential path (:func:`~repro.scenarios.run.run_scenarios`) pays
-``build_machine`` for every point.  A campaign at smoke fidelity spends
-a large share of its wall clock there: the runs are tiny by design,
-the machines are not.  This module drains a list of specs through one
-process, grouping them by :func:`machine_key` — the fields that
-determine the constructed machine: shape, canonical variant string,
-seed — and reusing one warm machine per group via the engine-level
-:class:`~repro.engine.batch.BatchRunner` pool.
-
-Correctness contract (golden-tested in ``tests/scenarios/test_batch.py``):
-
-* results are **bit-identical** to the sequential path, ``stats``
-  included (each result carries a deep copy, because the pooled
-  machine's counter tree is recycled by the next point);
-* composite workloads that override ``Workload.run`` (e.g.
-  ``interference``, which measures across several machines) fall back
-  to their own ``run`` — correct, just not warm;
-* machines whose adapters are not
-  :attr:`~repro.memory.adapter.AtomicAdapter.RESETTABLE` are rebuilt
-  per point instead of reset (the pool handles this automatically).
-
-Use it through ``run_scenarios(..., batch=True)`` /
-``sweep(..., batch=True)`` / ``Campaign(..., batch=True)`` — or the
-``--batch`` flag of ``repro sweep`` and ``repro explore`` — which keep
-the ResultCache interaction of the sequential path unchanged.
+``perfbench/ledger.py`` imports this module and wraps ``execute`` here
+by name.  The module exists only for that ledger and is deleted when
+ROADMAP item 1 ports the ledger.
 """
 
-from __future__ import annotations
+from .run import execute
 
-import dataclasses
-from typing import Sequence
-
-from ..engine.batch import BatchRunner
-from ..obs import OBS
-from .registry import Workload, get_workload
-from .run import build_machine, execute
-from .spec import ScenarioSpec, variant_string
-
-
-def machine_key(spec: ScenarioSpec) -> tuple:
-    """The machine-equivalence class of a spec.
-
-    Two specs with equal keys build interchangeable machines: same
-    shape (core/bank geometry, latency table), same *materialized*
-    variant (the canonical string, so ``lrscwait:half`` at 8 cores and
-    ``lrscwait:4`` share a machine) and same seed (the per-core RNG
-    streams are seeded at construction).  Workload and params are
-    deliberately absent — kernels are loaded per point.
-    """
-    return (spec.num_cores, spec.cores_per_tile, spec.banks_per_tile,
-            spec.words_per_bank, spec.num_groups, spec.latency,
-            variant_string(spec.variant_spec()), spec.seed)
-
-
-def execute_batch(specs: Sequence[ScenarioSpec]) -> list:
-    """Run specs in order through warm machines; results align with input.
-
-    This is the single-process kernel behind
-    ``run_scenarios(..., batch=True)``: cache bookkeeping stays with the
-    caller, so every spec passed here is actually simulated.
-    """
-    runner = BatchRunner()
-    results = []
-    events = OBS.events
-    monitor = OBS.heartbeat
-    for spec in specs:
-        workload = get_workload(spec.workload)
-        if events is not None or monitor is not None:
-            spec_hash = spec.stable_hash()
-            if events is not None:
-                events.emit("point_started", spec_hash=spec_hash,
-                            workload=spec.workload)
-            if monitor is not None:
-                monitor.point_started(
-                    spec_hash, last_seq=(events.last_seq
-                                         if events is not None else None))
-        with OBS.span(spec.workload, cat="point", variant=spec.variant,
-                      cores=spec.num_cores):
-            if type(workload).run is not Workload.run:
-                # Composite measurement (its own machines, its own rules).
-                results.append(workload.run(spec))
-            else:
-                with OBS.span("acquire", cat="phase"):
-                    machine = runner.acquire(machine_key(spec),
-                                             lambda s=spec: build_machine(s))
-                result = execute(workload, spec, machine=machine)
-                if result.stats is machine.stats:
-                    # The pooled machine recycles its counter tree on the
-                    # next acquire; detach a snapshot so the result stays
-                    # immutable.
-                    result = dataclasses.replace(
-                        result, stats=result.stats.snapshot())
-                results.append(result)
-        if monitor is not None:
-            monitor.point_finished(
-                last_seq=events.last_seq if events is not None else None)
-    return results
+__all__ = ["execute"]

@@ -136,17 +136,10 @@ class _ProbeRequest:
 _PROBE_STACK: list = []
 
 
-def execute(workload, spec: ScenarioSpec,
-            machine: Machine = None) -> ScenarioResult:
-    """The standard run template shared by every non-composite workload.
-
-    ``machine`` lets the batch runner supply a warm (freshly reset)
-    machine instead of paying ``build_machine`` per point; it must be
-    equivalent to ``build_machine(spec)`` or results will differ.
-    """
+def execute(workload, spec: ScenarioSpec) -> ScenarioResult:
+    """The standard run template shared by every non-composite workload."""
     with OBS.span("build", cat="phase"):
-        if machine is None:
-            machine = build_machine(spec)
+        machine = build_machine(spec)
         loaded = workload.load(machine, spec)
         request = _PROBE_STACK[-1] if _PROBE_STACK else None
         probes = (machine.attach_probes(request.take())
@@ -269,22 +262,14 @@ def run_scenarios(specs: Sequence[ScenarioSpec], jobs: int = 1,
     workloads registered ad hoc in the driving process (e.g. inside a
     script's ``main``) must run with ``jobs=1``.
 
-    ``batch=True`` drains all cache-missing points through the warm
-    batched core (:mod:`repro.scenarios.batch`): one process, machines
-    grouped by shape/variant/seed and *reset* between points instead of
-    rebuilt.  Results are bit-identical to the sequential path and the
-    cache interaction is unchanged.  Batch execution is single-process
-    by construction, so it is incompatible with ``jobs != 1``.
+    ``batch`` is accepted for compatibility and has no effect: every
+    point builds its machine fresh.
 
     Cached entries are stored without ``stats`` (the bulky diagnostic
     counters); every other field of a cache-served result is identical
     to the freshly-simulated one.
     """
     from ..eval.runner import ExperimentCall, run_experiments
-    if batch and jobs != 1:
-        raise ConfigError(
-            f"batch execution runs all points in one warm process and is "
-            f"incompatible with jobs={jobs!r}; drop --jobs or --batch")
     specs = list(specs)
     for spec in specs:
         spec.validate()
@@ -304,13 +289,9 @@ def run_scenarios(specs: Sequence[ScenarioSpec], jobs: int = 1,
         if cache is not None:
             cache.flush_counters()
         return results
-    if batch:
-        from .batch import execute_batch
-        computed = execute_batch([spec for _index, spec in pending])
-    else:
-        calls = [ExperimentCall(_execute_spec, (spec,))
-                 for _index, spec in pending]
-        computed = run_experiments(calls, jobs=jobs)
+    calls = [ExperimentCall(_execute_spec, (spec,))
+             for _index, spec in pending]
+    computed = run_experiments(calls, jobs=jobs)
     for (index, spec), result in zip(pending, computed):
         results[index] = result
         if cache is not None:
@@ -402,8 +383,8 @@ def sweep(base: ScenarioSpec, axes: dict, jobs: int = 1,
 
     ``axes`` maps setting keys (spec fields or workload params, as in
     :func:`apply_settings`) to value lists.  Points run through
-    :func:`run_scenarios`, so they shard and cache like any sweep —
-    or, with ``batch=True``, drain through the warm batched core.
+    :func:`run_scenarios`, so they shard and cache like any sweep;
+    ``batch`` is accepted for compatibility and has no effect.
     """
     if not axes:
         raise ConfigError("sweep needs at least one axis")
@@ -411,5 +392,5 @@ def sweep(base: ScenarioSpec, axes: dict, jobs: int = 1,
     combos = [dict(zip(keys, values))
               for values in itertools.product(*(axes[k] for k in keys))]
     specs = [apply_settings(base, combo) for combo in combos]
-    results = run_scenarios(specs, jobs=jobs, cache=cache, batch=batch)
+    results = run_scenarios(specs, jobs=jobs, cache=cache)
     return list(zip(combos, results))

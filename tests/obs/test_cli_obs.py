@@ -56,7 +56,7 @@ def test_obs_summary_on_trace_and_journal(capsys, tmp_path):
     trace_out = run_cli(capsys, ["obs", "summary", str(trace)])
     assert "obs summary (trace)" in trace_out
     for field in ("wall clock (s)", "points run", "cache hit rate",
-                  "pool reuse ratio", "points/sec"):
+                  "points/sec"):
         assert field in trace_out, field
 
     journal = str(tmp_path / "camp" / "journal.json")

@@ -147,20 +147,6 @@ def test_counters_sidecar_survives_clear_and_prune(tmp_path):
     assert survivor.stats()["entries"] == 0
 
 
-def test_batch_pool_counters_reconcile_with_runner():
-    specs = [smoke_spec("histogram", bins=bins) for bins in (1, 2, 4)]
-    OBS.enable()
-    try:
-        run_scenarios(specs, batch=True)
-        counters = dict(OBS.metrics.counters)
-    finally:
-        OBS.disable()
-    # One machine shape: one build, two warm resets (mirrors
-    # test_batch_actually_shares_machines, through the counters).
-    assert counters["pool.build"] == 1
-    assert counters["pool.reset"] == 2
-
-
 def test_disabled_session_records_nothing():
     # The default state: buffers (possibly holding a previous enabled
     # session's data) must not grow while the session is off.

@@ -1,18 +1,27 @@
-"""Batched execution: goldens, reset hygiene, cache, CLI plumbing."""
+"""``batch`` is an accepted no-op; ``Machine.reset()`` is a fresh build.
+
+Every scenario point builds its machine fresh, so ``batch=True`` (and
+``--batch``) must change nothing — with or without ``jobs`` — and an
+adapter keeps whatever mutable state it likes without a reset method.
+"""
 
 import dataclasses
-import random
 
 import pytest
 
-from repro.algorithms.histogram import Histogram
-from repro.algorithms.matmul import Matmul
 from repro.cli import main
-from repro.engine.batch import BatchRunner
-from repro.engine.errors import ConfigError, SimulationError
+from repro.dse import Campaign, SearchSpace, parse_objectives
+from repro.engine.errors import SimulationError
 from repro.eval.runner import ResultCache
+from repro.interconnect.messages import Status
+from repro.memory.lrsc import LrscAdapter
+from repro.memory.variants import (
+    AtomicVariant,
+    list_variants,
+    register_variant,
+    unregister_variant,
+)
 from repro.scenarios import default_spec, run_scenario, run_scenarios
-from repro.scenarios.batch import execute_batch, machine_key
 from repro.scenarios.registry import get_workload, list_workloads
 from repro.scenarios.run import (
     apply_settings,
@@ -20,7 +29,6 @@ from repro.scenarios.run import (
     scenario_cache_key,
     sweep,
 )
-from repro.workloads.streams import zipf_stream
 
 
 def smoke_spec(workload: str, **params):
@@ -31,6 +39,12 @@ def smoke_spec(workload: str, **params):
         spec = spec.with_params(**params)
     spec.validate()
     return spec
+
+
+def run_on(machine, spec):
+    """Load ``spec``'s workload onto ``machine`` and run it."""
+    get_workload(spec.workload).load(machine, spec)
+    return machine.run()
 
 
 # -- batch == sequential goldens -----------------------------------------------
@@ -56,7 +70,7 @@ def test_batch_equals_sequential_across_methods_and_variants():
 
 def test_batch_results_align_with_input_order():
     specs = [smoke_spec("histogram", bins=bins) for bins in (1, 2, 4)]
-    results = execute_batch(specs)
+    results = run_scenarios(specs, batch=True)
     assert [r.spec for r in results] == specs
 
 
@@ -65,34 +79,27 @@ def test_batch_handles_composite_workloads():
     assert run_scenarios([spec], batch=True) == run_scenarios([spec])
 
 
-# -- machine reuse and reset hygiene -------------------------------------------
-
-
-def test_batch_actually_shares_machines():
-    # 3 points, one shape/variant/seed: one build, two resets.
-    specs = [smoke_spec("histogram", bins=bins) for bins in (1, 2, 4)]
-    assert len({machine_key(spec) for spec in specs}) == 1
-    runner = BatchRunner()
-    for spec in specs:
-        runner.acquire(machine_key(spec),
-                       lambda s=spec: build_machine(s))
-    assert runner.builds == 1
-    assert runner.resets == 2
-    assert runner.pooled == 1
+# -- Machine.reset() is a fresh build ------------------------------------------
 
 
 def test_reset_leaves_no_state_behind_a_b_a():
-    # A-B-A through one warm machine: the third result must equal the
-    # first bit-for-bit, or the reset leaked state from B.
+    # A-B-A through one machine: the third result must equal the first
+    # bit-for-bit, or the reset leaked state from B.
     spec_a = smoke_spec("histogram", bins=2)
     spec_b = smoke_spec("histogram", bins=8, updates_per_core=4)
-    first, _middle, third = execute_batch([spec_a, spec_b, spec_a])
+    machine = build_machine(spec_a)
+    first = run_on(machine, spec_a)
+    machine.reset()
+    run_on(machine, spec_b)
+    machine.reset()
+    third = run_on(machine, spec_a)
     assert third == first
+    assert third is not first
 
 
 def test_batch_stats_are_detached_copies():
     spec = smoke_spec("histogram")
-    results = execute_batch([spec, spec])
+    results = run_scenarios([spec, spec], batch=True)
     assert results[0].stats == results[1].stats
     assert results[0].stats is not results[1].stats
 
@@ -101,12 +108,34 @@ def test_machine_reset_restores_fresh_behavior():
     spec = smoke_spec("histogram", method="wait")
     reference = run_scenario(spec)
     machine = build_machine(spec)
-    from repro.scenarios.run import execute
-    execute(get_workload(spec.workload), spec, machine=machine)
+    run_on(machine, spec)
     machine.reset()
-    warm = execute(get_workload(spec.workload), spec, machine=machine)
+    warm = run_on(machine, spec)
     assert warm.cycles == reference.cycles
-    assert warm.stats == reference.stats
+    assert warm == reference.stats
+
+
+def every_variant():
+    """Each registered variant, required parameters set to 2."""
+    for name, plugin in list_variants():
+        required = [key for key, schema in plugin.params.items()
+                    if schema.required]
+        params = ",".join(f"{key}=2" for key in required)
+        yield f"{name}:{params}" if params else name
+
+
+@pytest.mark.parametrize("variant", list(every_variant()))
+def test_machine_reset_equals_fresh_build_for_every_variant(variant):
+    spec = dataclasses.replace(
+        smoke_spec("histogram", bins=1, updates_per_core=3),
+        variant=variant)
+    machine = build_machine(spec)
+    run_on(machine, spec)
+    machine.reset()
+    again = run_on(machine, spec)
+    fresh = run_on(build_machine(spec), spec)
+    assert again.cycles == fresh.cycles
+    assert again == fresh
 
 
 def test_machine_reset_refuses_probes():
@@ -117,95 +146,48 @@ def test_machine_reset_refuses_probes():
         machine.reset()
 
 
-def test_batch_runner_rebuilds_non_resettable_machines():
-    class Unresettable:
-        resettable = False
+class _CountingLrscAdapter(LrscAdapter):
+    """Single-slot LR/SC that fails every third SC it sees: its results
+    depend on mutable state, and it defines no ``reset()``."""
 
-        def __init__(self):
-            self.reset_called = False
+    def __init__(self, controller) -> None:
+        super().__init__(controller)
+        self.sc_seen = 0
 
-        def reset(self):
-            self.reset_called = True
-
-    runner = BatchRunner()
-    first = runner.acquire("key", Unresettable)
-    second = runner.acquire("key", Unresettable)
-    assert second is not first
-    assert not first.reset_called
-    assert runner.builds == 2
-    assert runner.resets == 0
+    def _handle_sc(self, req) -> None:
+        self.sc_seen += 1
+        if self.sc_seen % 3 == 0:
+            self.ctrl.respond(req, value=1, status=Status.SC_FAIL)
+            return
+        super()._handle_sc(req)
 
 
-# -- vectorized drivers == scalar kernels --------------------------------------
+@pytest.fixture
+def counting_lrsc():
+    @register_variant("counting_lrsc")
+    class CountingLrscVariant(AtomicVariant):
+        """A stateful adapter with no reset method."""
+
+        description = "LR/SC failing every third SC per bank"
+        supports_lrsc = True
+        native_method = "lrsc"
+
+        def make_adapter(self, controller, params, num_cores, strict):
+            return _CountingLrscAdapter(controller)
+
+    try:
+        yield "counting_lrsc"
+    finally:
+        unregister_variant("counting_lrsc")
 
 
-@pytest.mark.parametrize("method,variant",
-                         [("amo", "colibri"), ("lrsc", "lrsc"),
-                          ("wait", "lrscwait:2"), ("wait", "colibri")])
-def test_flat_histogram_driver_matches_scalar(method, variant):
-    spec = dataclasses.replace(smoke_spec("histogram", method=method),
-                               variant=variant)
-    flat = run_scenario(spec)            # workload path = flat driver
-    machine = build_machine(spec)
-    params = get_workload("histogram").resolve_params(spec)
-    histogram = Histogram(machine, params["bins"])
-    machine.load_all(histogram.kernel_factory(
-        method, params["updates_per_core"]))
-    scalar_stats = machine.run()
-    assert scalar_stats == flat.stats
-
-
-@pytest.mark.parametrize("method", ["amo", "lrsc", "wait"])
-def test_flat_zipf_driver_matches_scalar(method):
-    variant = "lrsc" if method == "lrsc" else "colibri"
-    spec = dataclasses.replace(smoke_spec("histogram_zipf", method=method),
-                               variant=variant)
-    flat = run_scenario(spec)
-    machine = build_machine(spec)
-    params = get_workload("histogram_zipf").resolve_params(spec)
-    histogram = Histogram(machine, params["bins"])
-    streams = [
-        list(zipf_stream(random.Random(spec.seed * 1_000_003 + core),
-                         params["bins"], params["updates_per_core"],
-                         exponent=params["exponent"]))
-        for core in range(machine.config.num_cores)
-    ]
-    from repro.sync.rmw import fetch_add
-
-    def kernel(api):
-        for index in streams[api.core_id]:
-            yield from fetch_add(api, histogram.bin_addr(index), 1,
-                                 method)
-            yield from api.retire()
-
-    machine.load_all(kernel)
-    assert machine.run() == flat.stats
-
-
-def test_flat_matmul_driver_matches_scalar():
-    spec = smoke_spec("matmul")
-    flat = run_scenario(spec)
-    machine = build_machine(spec)
-    params = get_workload("matmul").resolve_params(spec)
-    workers = machine.config.num_cores
-    matmul = Matmul(machine, params["dim"])
-    matmul.fill_inputs()
-    for worker, rows in enumerate(matmul.partition_rows(workers)):
-        machine.load(worker,
-                     lambda api, r=rows: matmul.worker_kernel(api, r))
-    scalar_stats = machine.run_until_finished(list(range(workers)))
-    matmul.verify()
-    assert scalar_stats == flat.stats
-
-
-def test_flat_factories_reject_lock_method():
-    spec = smoke_spec("histogram")
-    machine = build_machine(spec)
-    histogram = Histogram(machine, 2)
-    with pytest.raises(ValueError, match="lock"):
-        histogram.flat_kernel_factory("lock", 2)
-    with pytest.raises(ValueError, match="lock"):
-        histogram.flat_stream_factory([[0]], "lock")
+def test_adapters_need_no_reset(counting_lrsc):
+    spec = dataclasses.replace(
+        smoke_spec("histogram", bins=1, updates_per_core=3),
+        variant=counting_lrsc)
+    first, second = run_scenarios([spec, spec], batch=True)
+    assert first.stats.total_sc_failures > 0
+    assert second == first
 
 
 # -- cache interaction ---------------------------------------------------------
@@ -228,9 +210,30 @@ def test_batch_populates_and_hits_result_cache(tmp_path):
                       for result in first]
 
 
-def test_batch_rejects_parallel_jobs():
-    with pytest.raises(ConfigError, match="incompatible with jobs"):
-        run_scenarios([smoke_spec("histogram")], jobs=2, batch=True)
+def test_batch_with_jobs_equals_jobs():
+    specs = [smoke_spec("histogram", bins=bins) for bins in (2, 4)]
+    assert (run_scenarios(specs, jobs=2, batch=True)
+            == run_scenarios(specs, jobs=2))
+
+
+def test_campaign_batch_has_no_effect(tmp_path):
+    # The call shape of the paper-scale campaign benchmark.
+    def journal(name, batch):
+        directory = tmp_path / name
+        campaign = Campaign(
+            base=default_spec("histogram", num_cores=8),
+            space=SearchSpace.from_axes({"variant": ["lrsc", "colibri"],
+                                         "bins": [1, 4]}),
+            sampler="grid",
+            objectives=parse_objectives(["min:cycles", "max:throughput"]),
+            budget=4, seed=0, cache=ResultCache(str(directory / "cache")),
+            journal_file=str(directory / "journal.json"), batch=batch)
+        result = campaign.run()
+        assert result.status == "complete"
+        return [dataclasses.replace(e, wall_ms=0.0)
+                for e in result.evaluations]
+
+    assert journal("batch", True) == journal("plain", False)
 
 
 # -- sweep / CLI plumbing ------------------------------------------------------
@@ -257,10 +260,10 @@ def test_cli_sweep_batch_matches_non_batch(capsys):
     assert batched == plain
 
 
-def test_cli_sweep_batch_with_jobs_exits_2(capsys):
-    out = run_cli(capsys, ["sweep", "histogram", "--axis", "bins=2,4",
-                           "--batch", "--jobs", "2"], expect_code=2)
-    assert "incompatible" in out
+def test_cli_sweep_batch_with_jobs_matches_jobs(capsys):
+    argv = ["sweep", "histogram", "--axis", "bins=2,4",
+            "--set", "updates_per_core=2", "--cores", "8", "--jobs", "2"]
+    assert run_cli(capsys, argv + ["--batch"]) == run_cli(capsys, argv)
 
 
 def test_cli_explore_batch_journal_identical(capsys, tmp_path):
@@ -279,8 +282,16 @@ def test_cli_explore_batch_journal_identical(capsys, tmp_path):
     assert batch == plain
 
 
-def test_cli_explore_batch_with_jobs_exits_2(capsys):
-    out = run_cli(capsys, ["explore", "histogram", "--smoke",
-                           "--axis", "bins=2,4", "--budget", "4",
-                           "--batch", "--jobs", "2"], expect_code=2)
-    assert "incompatible" in out
+def test_cli_explore_batch_with_jobs_journal_identical(capsys, tmp_path):
+    argv = ["explore", "histogram", "--smoke",
+            "--axis", "bins=2,4", "--objective", "min:cycles",
+            "--budget", "4", "--jobs", "2"]
+    from repro.dse import load_journal
+    run_cli(capsys, argv + ["--out", str(tmp_path / "plain")])
+    run_cli(capsys, argv + ["--batch", "--out", str(tmp_path / "batch")])
+    plain = load_journal(str(tmp_path / "plain" / "journal.json"))
+    batch = load_journal(str(tmp_path / "batch" / "journal.json"))
+    for journal in (plain, batch):
+        for record in journal["evaluations"]:
+            record.pop("wall_ms")
+    assert batch == plain
