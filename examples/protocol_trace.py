@@ -15,9 +15,7 @@ Also demonstrates the analysis/report tooling:
 Run:  python examples/protocol_trace.py
 """
 
-from repro import Machine, SystemConfig, VariantSpec
-from repro.engine.trace import Tracer
-from repro.engine.vcd import write_vcd
+from repro import Machine, SystemConfig, Tracer, VariantSpec, write_vcd
 from repro.eval.analysis import summarize
 
 CORES = 4

@@ -11,7 +11,7 @@
 # `python -m repro` on this checkout's src/).  Artifacts and caches are
 # written to the current directory: telemetry-artifacts/,
 # explore-artifacts/, obs-artifacts/, status-artifacts/, explore-plain/,
-# explore-batch/, sweep-*.txt and .ci-*-cache/.
+# explore-batch/, sweep-*.txt, colibri_trace.vcd and .ci-*-cache/.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -90,6 +90,10 @@ repro trace histogram --smoke --probe core_timeline \
 
 step "contention-heatmap example"
 python "$ROOT/examples/trace_contention.py"
+
+step "protocol-log example (Fig. 2 record stream and bank-signal VCD)"
+python "$ROOT/examples/protocol_trace.py"
+test -s colibri_trace.vcd
 
 # -- design-space exploration -------------------------------------------------
 

@@ -57,8 +57,6 @@ from .dse import (
     register_sampler,
 )
 from .engine.stats import SimStats
-from .engine.trace import Tracer
-from .engine.vcd import write_vcd
 from .interconnect.messages import Op, Status
 from .machine import Machine
 from .memory.variants import (
@@ -83,8 +81,11 @@ from .scenarios import (
 from .telemetry import (
     Probe,
     TelemetryReport,
+    TraceRecord,
+    Tracer,
     list_probes,
     register_probe,
+    write_vcd,
 )
 
 __version__ = "1.7.0"
@@ -99,6 +100,7 @@ __all__ = [
     "ReproError",
     "SimulationError",
     "SimStats",
+    "TraceRecord",
     "Tracer",
     "write_vcd",
     "Op",

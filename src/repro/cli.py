@@ -654,7 +654,7 @@ def _make_probes(args) -> list:
 
 def cmd_trace(args) -> str:
     from .engine.errors import ConfigError
-    from .engine.vcd import write_vcd
+    from .telemetry.vcd import write_vcd
     from .scenarios.run import run_scenario as run_probed
     spec = _build_spec(args)
     probes = _make_probes(args)

@@ -47,12 +47,11 @@ class Core:
         self.network = network
         self.address_map = address_map
         self.stats = stats
-        # The hub and tracer objects are stable for the simulator's
-        # lifetime, so the hot paths below can cache them (one load +
-        # branch when off), as they do the heap, its sequence counter
-        # and the address decode of AddressMap.bank_of.
+        # The hub is stable for the simulator's lifetime, so the hot
+        # paths below can cache it (one load + branch when off), as
+        # they do the heap, its sequence counter and the address
+        # decode of AddressMap.bank_of.
         self._telemetry = sim.telemetry
-        self._tracer = sim.tracer
         self._heap = sim.heap
         self._seq = sim.seq
         self._word_bytes = address_map.word_bytes
@@ -142,8 +141,7 @@ class Core:
                 requests[op.mnemonic] = requests.get(op.mnemonic, 0) + 1
                 self._outstanding = req
                 state = SLEEPING if op.is_wait else STALLED
-                if self._tracer.enabled or \
-                        self._telemetry.on_core_state is not None:
+                if self._telemetry.on_core_state is not None:
                     self._set_state(state)
                 else:
                     self.state = state
@@ -174,17 +172,14 @@ class Core:
         self.finish_cycle = self.sim.now
 
     def _set_state(self, state: str) -> None:
-        """State transition with tracing/telemetry hooks (VCD, timelines).
+        """State transition with the ``core_state`` hook (VCD, timelines).
 
-        The request path calls it only while an enabled tracer or a
-        ``core_state`` subscriber can see the change; otherwise it
-        assigns :attr:`state` directly.
+        The request path calls it only while a ``core_state``
+        subscriber can see the change; otherwise it assigns
+        :attr:`state` directly.
         """
         if self.state != state:
             self.state = state
-            if self._tracer.enabled:
-                self._tracer.log(self.sim.now, f"core{self.core_id}",
-                                 "core_state", state)
             cb = self._telemetry.on_core_state
             if cb is not None:
                 cb(self.sim.now, self.core_id, state)
@@ -233,7 +228,7 @@ class Core:
         if cb is not None:
             cb(now, self.core_id, resp, waited)
         self._outstanding = None
-        if self._tracer.enabled or self._telemetry.on_core_state is not None:
+        if self._telemetry.on_core_state is not None:
             self._set_state(ACTIVE)
         else:
             self.state = ACTIVE

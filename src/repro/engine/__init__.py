@@ -1,4 +1,4 @@
-"""Discrete-event simulation kernel (clock, events, stats, tracing)."""
+"""Discrete-event simulation kernel (clock, events, stats)."""
 
 from .errors import (
     ConfigError,
@@ -12,8 +12,6 @@ from .errors import (
 from .events import Event, EventQueue, PRIORITY_EARLY, PRIORITY_LATE, PRIORITY_NORMAL
 from .simulator import Simulator
 from .stats import BankStats, CoreStats, NetworkStats, SimStats
-from .trace import TraceRecord, Tracer
-from .vcd import VcdWriter, write_vcd
 
 __all__ = [
     "ConfigError",
@@ -33,8 +31,4 @@ __all__ = [
     "CoreStats",
     "NetworkStats",
     "SimStats",
-    "TraceRecord",
-    "Tracer",
-    "VcdWriter",
-    "write_vcd",
 ]

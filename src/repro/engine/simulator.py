@@ -32,8 +32,11 @@ object once: the core issues inside its kernel loop and decodes the
 bank inline; the network reads the topology's flat route table once
 per message; the bank controller services a message in place when its
 port is free; the adapter dispatches through a per-class table indexed
-by ``Op.index``; and the core calls its state-change hooks only while
-a tracer or a ``core_state`` subscriber is attached.
+by ``Op.index``; and the core calls its state-change hook only while
+a ``core_state`` subscriber is attached.  Every observation site on
+that chain is one load and one ``is not None`` branch on the
+:class:`~repro.telemetry.hub.Telemetry` hub, the simulator's only
+recording path.
 
 Those hops push their entries directly onto :attr:`Simulator.heap`,
 drawing sequence numbers from :attr:`Simulator.seq` in exactly the
@@ -53,21 +56,18 @@ from typing import Callable, Optional
 
 from .errors import DeadlockError, SimulationError
 from .events import Event, EventQueue, NO_ARG, PRIORITY_NORMAL
-from .trace import Tracer
 
 
 class Simulator:
     """Deterministic discrete-event simulator with an integer cycle clock."""
 
-    __slots__ = ("now", "max_cycles", "tracer", "telemetry", "_queue",
+    __slots__ = ("now", "max_cycles", "telemetry", "_queue",
                  "heap", "seq", "_blocked_reporters", "_finished")
 
     def __init__(self, max_cycles: int = 100_000_000,
-                 tracer: Optional[Tracer] = None,
                  telemetry: Optional["Telemetry"] = None) -> None:
         self.now: int = 0
         self.max_cycles = max_cycles
-        self.tracer = tracer or Tracer(enabled=False)
         if telemetry is None:
             # Deferred import: at construction time every module is
             # loaded, so this cannot cycle regardless of the order in

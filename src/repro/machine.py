@@ -35,19 +35,24 @@ from .cores.api import CoreApi
 from .cores.core import Core
 from .engine.simulator import Simulator
 from .engine.stats import BankStats, CoreStats, NetworkStats, SimStats
-from .engine.trace import Tracer
 from .interconnect.network import Network
 from .memory.controller import BankController
 from .memory.variants import VariantSpec
 from .telemetry.hub import Telemetry
 from .telemetry.probes import create_probe
+from .telemetry.trace import Tracer
 
 #: Type of a kernel factory: gets the core's API, returns the coroutine.
 KernelFactory = Callable[[CoreApi], Generator]
 
 
 class Machine:
-    """A fully wired simulated manycore system."""
+    """A fully wired simulated manycore system.
+
+    ``tracer`` is a protocol log (:class:`~repro.telemetry.trace.Tracer`)
+    attached as a probe at build time; ``telemetry`` supplies the hook
+    hub (a fresh one by default).
+    """
 
     def __init__(self, config: SystemConfig, variant: VariantSpec,
                  seed: int = 0, strict: bool = True,
@@ -62,8 +67,7 @@ class Machine:
         self.variant = variant
         self.seed = seed
         self.strict = strict
-        self.sim = Simulator(max_cycles=max_cycles, tracer=tracer,
-                             telemetry=telemetry)
+        self.sim = Simulator(max_cycles=max_cycles, telemetry=telemetry)
         #: The telemetry hook hub every component of this machine
         #: reports into; probes subscribe here (see ``attach_probes``).
         self.telemetry = self.sim.telemetry
@@ -94,7 +98,13 @@ class Machine:
             for core_id in range(config.num_cores)
         ]
         self._loaded: list = []
+        #: How many of :attr:`_loaded` have been started.
+        self._started = 0
         self.sim.add_blocked_reporter(self._blocked_cores)
+        if tracer is not None:
+            # The protocol log is a probe attached at build time, so it
+            # sees every core's load-time state change.
+            self.attach_probes([tracer])
 
     def reset(self) -> None:
         """Rebuild this machine in place from its constructor arguments.
@@ -104,11 +114,13 @@ class Machine:
         rewound, per-core RNG streams rewound, all counters zero.
 
         Raises :class:`~repro.engine.errors.SimulationError` when the
-        machine has attached probes (probe state is per-run; probed runs
-        must use a fresh machine).
+        machine has probes attached after the build (probe state is
+        per-run; probed runs must use a fresh machine).  A build-time
+        ``tracer`` is a constructor argument, so it is attached again.
         """
         from .engine.errors import SimulationError
-        if self.probes:
+        tracer = self._build_args[5]
+        if any(probe is not tracer for probe in self.probes):
             raise SimulationError(
                 "cannot reset a machine with attached probes")
         self.__init__(*self._build_args)
@@ -171,8 +183,7 @@ class Machine:
         stops while cores are still blocked — the observable form of a
         violated LRSCwait progress constraint.
         """
-        for core in self._loaded:
-            core.start()
+        self._start_loaded()
         self.sim.run(until=until)
         self.stats.cycles = self._makespan()
         self._finalize_probes()
@@ -185,14 +196,20 @@ class Machine:
         (endless kernels) or would take pathologically long (e.g. a
         retry storm with a too-small backoff — the regime the backoff
         ablation quantifies).  Kernels are frozen mid-flight at the
-        horizon; counters reflect work retired within it.
+        horizon; counters reflect work retired within it.  Repeated
+        calls continue the same run window by window.
         """
-        for core in self._loaded:
-            core.start()
+        self._start_loaded()
         self.sim.run_for(cycles)
         self.stats.cycles = self.sim.now
         self._finalize_probes()
         return self.stats
+
+    def _start_loaded(self) -> None:
+        """Start each loaded kernel once, however many runs follow."""
+        for core in self._loaded[self._started:]:
+            core.start()
+        self._started = len(self._loaded)
 
     def run_until_finished(self, core_ids) -> SimStats:
         """Run until the given cores finish (others may run forever).

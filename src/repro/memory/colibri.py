@@ -125,8 +125,10 @@ class ColibriAdapter(AtomicAdapter):
         queue = _ColibriQueue(addr=req.addr, head=req.core_id,
                               tail=req.core_id)
         self._queues[req.addr] = queue
-        self.ctrl.trace("colibri_alloc",
-                        f"queue @0x{req.addr:x} head=core {req.core_id}")
+        cb = self.ctrl.telemetry.on_protocol
+        if cb is not None:
+            cb(self.ctrl.sim.now, self.ctrl.bank_id, "colibri_alloc",
+               f"queue @0x{req.addr:x} head=core {req.core_id}")
         self._serve_head(queue, req)
 
     def _serve_head(self, queue: _ColibriQueue, req: MemRequest) -> None:
@@ -189,7 +191,10 @@ class ColibriAdapter(AtomicAdapter):
                     f"freeing colibri queue 0x{queue.addr:x} with "
                     f"{len(queue.pending)} pending waiters")
             del self._queues[queue.addr]
-            self.ctrl.trace("colibri_free", f"queue @0x{queue.addr:x}")
+            cb = self.ctrl.telemetry.on_protocol
+            if cb is not None:
+                cb(self.ctrl.sim.now, self.ctrl.bank_id, "colibri_free",
+                   f"queue @0x{queue.addr:x}")
             self.ctrl.respond(req, value=value, status=status,
                               successor_pending=False)
         else:

@@ -101,27 +101,13 @@ class BankController:
     def _service(self, msg) -> None:
         """The one service body: the message holds the port this cycle."""
         self.stats.accesses += 1
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            if isinstance(msg, WakeUpRequest):
-                tracer.log(self.sim.now, f"bank{self.bank_id}",
-                           "wakeup_request",
-                           f"from core {msg.from_core} "
-                           f"successor {msg.successor} @0x{msg.addr:x}")
-            else:
-                tracer.log(self.sim.now, f"bank{self.bank_id}",
-                           msg.op.value,
-                           f"core {msg.core_id} @0x{msg.addr:x}")
+        cb = self.telemetry.on_bank_service
+        if cb is not None:
+            cb(self.sim.now, self.bank_id, msg)
         if isinstance(msg, WakeUpRequest):
             self.adapter.handle_wakeup(msg)
         else:
             self.adapter.handle(msg)
-
-    def trace(self, kind: str, detail: str = "") -> None:
-        """Adapter-visible tracing hook (protocol transitions)."""
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.log(self.sim.now, f"bank{self.bank_id}", kind, detail)
 
     # -- adapter service interface -------------------------------------------------
 

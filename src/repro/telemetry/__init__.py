@@ -8,8 +8,9 @@ on the event kernel, cores, banks and interconnect (via the
 :class:`~repro.engine.simulator.Simulator` owns), folds observations
 into compact state during the run, and reports a JSON-able section
 afterwards.  Probes cost ~zero when not installed: every hook site is
-one attribute load and one branch, same as the ``tracer.enabled``
-gating.
+one attribute load and one ``is not None`` branch.  Every record the
+simulator makes flows through this hub; there is no second recording
+path.
 
 Built-in probes (``repro trace --probe <name>``):
 
@@ -18,6 +19,12 @@ Built-in probes (``repro trace --probe <name>``):
 * ``core_timeline`` — running/stalled/sleeping spans per core;
 * ``queue_occupancy`` — reservation/wait-queue depth over time;
 * ``message_latency`` — per-op round-trip histograms + traffic classes.
+
+The protocol log (:class:`~repro.telemetry.trace.Tracer`, probe name
+``protocol_log``) records every core-state change, bank service and
+Colibri queue alloc/free; it is not registered, so attach an instance.
+Each probe class owns its section's format (CSV rows, ASCII view and
+schema check).
 
 Typical use through the scenario layer::
 
@@ -55,6 +62,8 @@ from .probes import (
 )
 from .report import TelemetryReport
 from .schema import SchemaError, validate_report
+from .trace import TraceRecord, Tracer
+from .vcd import VcdWriter, write_vcd
 
 # Importing the module registers the built-in probes; it must come
 # after the imports above (it reaches back into .probes).
@@ -76,11 +85,15 @@ __all__ = [
     "SchemaError",
     "Telemetry",
     "TelemetryReport",
+    "TraceRecord",
+    "Tracer",
     "UnknownProbeError",
+    "VcdWriter",
     "create_probe",
     "get_probe",
     "list_probes",
     "register_probe",
     "unregister_probe",
     "validate_report",
+    "write_vcd",
 ]

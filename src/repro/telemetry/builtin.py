@@ -19,11 +19,30 @@ Four probes cover the paper's diagnostic questions:
 Probes receive message objects duck-typed (``msg.op.value`` when the
 message carries an op, ``wakeup_request`` otherwise), so this module
 needs nothing from the interconnect layer.
+
+Each class also defines its section's CSV rows, ASCII view (drawn with
+:mod:`repro.eval.reporting`) and schema check.
 """
 
 from __future__ import annotations
 
+from ..obs.schema import SchemaError, _require
 from .probes import Probe, register_probe
+
+#: Core-state glyphs shared by the ASCII timeline and its legend.
+TIMELINE_GLYPHS = {
+    "idle": " ",
+    "active": "#",
+    "stalled": "-",
+    "sleeping": ".",
+    "finished": " ",
+}
+
+
+def _int_list(item, length: int) -> bool:
+    """True when ``item`` is a list of ``length`` ints."""
+    return (isinstance(item, list) and len(item) == length
+            and all(isinstance(value, int) for value in item))
 
 
 def _op_name(msg) -> str:
@@ -95,6 +114,62 @@ class BankContention(Probe):
             })
         return {"window_cycles": self.window, "banks": banks}
 
+    @staticmethod
+    def rows(section: dict) -> tuple:
+        headers = ["bank", "window_start", "accesses", "conflicts",
+                   "queued_cycles"]
+        window = section["window_cycles"]
+        rows = []
+        for bank in section["banks"]:
+            for index, accesses, conflicts, queued in bank["windows"]:
+                rows.append([bank["bank"], index * window, accesses,
+                             conflicts, queued])
+        return headers, rows
+
+    @staticmethod
+    def render(report, section: dict, width: int) -> str:
+        from ..eval.reporting import render_heatmap, render_table
+        window = section["window_cycles"]
+        num_windows = max(1, -(-max(report.cycles, 1) // window))
+        matrix = []
+        labels = []
+        idle = 0
+        for bank in section["banks"]:
+            if not bank["accesses"]:
+                idle += 1
+                continue
+            dense = [0] * num_windows
+            for index, accesses, _conflicts, _queued in bank["windows"]:
+                if index < num_windows:
+                    dense[index] += accesses
+            matrix.append(dense)
+            labels.append(f"bank{bank['bank']}")
+        suffix = f"; {idle} idle banks omitted" if idle else ""
+        heat = render_heatmap(
+            matrix, labels, width=width,
+            title=(f"bank accesses per {window}-cycle window "
+                   f"(total {report.cycles} cycles{suffix})"))
+        rows = [(bank["bank"], bank["accesses"], bank["conflicts"],
+                 bank["queued_cycles"], bank["failed_responses"])
+                for bank in section["banks"] if bank["accesses"]]
+        totals = render_table(
+            ["bank", "accesses", "conflicts", "queued cycles", "failed resp"],
+            rows, title="bank totals (banks with traffic)")
+        return heat + "\n\n" + totals
+
+    @staticmethod
+    def check(section: dict, where: str) -> None:
+        _require(section, "window_cycles", int, where)
+        for bank in _require(section, "banks", list, where):
+            for key in ("bank", "accesses", "conflicts", "queued_cycles",
+                        "failed_responses"):
+                _require(bank, key, int, f"{where}.banks")
+            for cell in _require(bank, "windows", list, f"{where}.banks"):
+                if not _int_list(cell, 4):
+                    raise SchemaError(
+                        f"{where}: bad window cell {cell!r} "
+                        "(want [index, accesses, conflicts, queued])")
+
 
 @register_probe("core_timeline")
 class CoreTimeline(Probe):
@@ -104,33 +179,38 @@ class CoreTimeline(Probe):
                    "(active/stalled/sleeping timeline; VCD-exportable)")
 
     def __init__(self) -> None:
-        #: core -> [[state, start, end], ...] closed spans.
+        #: core -> [[state, start, end], ...] recorded spans.
         self._spans: dict = {}
-        #: core -> (state, since_cycle) currently open span.
+        #: core -> [state, start, end] the open span; it is in
+        #: ``_spans`` too once a finalize has closed it at ``end``.
         self._open: dict = {}
-        self._closed = False
 
     def install(self, machine) -> None:
         now = machine.sim.now
         for core in machine.cores:
             self._spans[core.core_id] = []
-            self._open[core.core_id] = (core.state, now)
+            self._open[core.core_id] = [core.state, now, now]
         machine.telemetry.subscribe("core_state", self._on_state)
 
+    def _close(self, core_id, span, end) -> None:
+        """End ``span`` at ``end``, recording it once (if non-empty)."""
+        if end > span[1]:
+            span[2] = end
+            spans = self._spans[core_id]
+            if not spans or spans[-1] is not span:
+                spans.append(span)
+
     def _on_state(self, cycle, core_id, state) -> None:
-        old_state, start = self._open[core_id]
-        if cycle > start:
-            self._spans[core_id].append([old_state, start, cycle])
-        self._open[core_id] = (state, cycle)
+        self._close(core_id, self._open[core_id], cycle)
+        self._open[core_id] = [state, cycle, cycle]
 
     def finalize(self, machine, stats) -> None:
-        if self._closed:
-            return
-        self._closed = True
+        # Close every open span at ``now`` but keep it open: a later
+        # window of the same run extends it, so chunked runs record the
+        # spans one long run would.
         end = machine.sim.now
-        for core_id, (state, start) in self._open.items():
-            if end > start:
-                self._spans[core_id].append([state, start, end])
+        for core_id, span in self._open.items():
+            self._close(core_id, span, end)
 
     def spans(self) -> dict:
         """core_id -> closed ``[state, start, end]`` spans (post-run)."""
@@ -145,6 +225,44 @@ class CoreTimeline(Probe):
                 totals[state] = totals.get(state, 0) + (end - start)
             cores.append({"core": core_id, "spans": spans})
         return {"cores": cores, "state_totals": totals}
+
+    @staticmethod
+    def rows(section: dict) -> tuple:
+        rows = [[core["core"], state, start, end]
+                for core in section["cores"]
+                for state, start, end in core["spans"]]
+        return ["core", "state", "start", "end"], rows
+
+    @staticmethod
+    def render(report, section: dict, width: int) -> str:
+        from ..eval.reporting import render_timeline
+        lanes = [(f"core{core['core']}",
+                  [(state, start, end)
+                   for state, start, end in core["spans"]])
+                 for core in section["cores"]]
+        legend = "  ".join(f"{glyph or ' '!r}={state}"
+                           for state, glyph in TIMELINE_GLYPHS.items()
+                           if glyph.strip())
+        return render_timeline(
+            lanes, end=max(report.cycles, 1), width=width,
+            glyphs=TIMELINE_GLYPHS,
+            title=f"core states over {report.cycles} cycles ({legend})")
+
+    @staticmethod
+    def check(section: dict, where: str) -> None:
+        for core in _require(section, "cores", list, where):
+            _require(core, "core", int, f"{where}.cores")
+            spans_where = f"{where}.cores[{core.get('core')}]"
+            for span in _require(core, "spans", list, f"{where}.cores"):
+                if not (isinstance(span, list) and len(span) == 3
+                        and isinstance(span[0], str)
+                        and _int_list(span[1:], 2)):
+                    raise SchemaError(f"{spans_where}: bad span {span!r} "
+                                      "(want [state, start, end])")
+                if span[2] < span[1]:
+                    raise SchemaError(f"{spans_where}: span {span!r} ends "
+                                      "before it starts")
+        _require(section, "state_totals", dict, where)
 
 
 @register_probe("queue_occupancy")
@@ -198,6 +316,33 @@ class QueueOccupancy(Probe):
             })
         return {"banks": banks}
 
+    @staticmethod
+    def rows(section: dict) -> tuple:
+        rows = [[bank["bank"], cycle, depth]
+                for bank in section["banks"]
+                for cycle, depth in bank["samples"]]
+        return ["bank", "cycle", "depth"], rows
+
+    @staticmethod
+    def render(report, section: dict, width: int) -> str:
+        from ..eval.reporting import render_table
+        rows = [(bank["bank"], bank["max_depth"], bank["mean_depth"])
+                for bank in section["banks"] if bank["samples"]]
+        if not rows:
+            rows = [("(no queue activity)", "", "")]
+        return render_table(["bank", "max depth", "mean depth"], rows,
+                            title="reservation/wait-queue occupancy")
+
+    @staticmethod
+    def check(section: dict, where: str) -> None:
+        for bank in _require(section, "banks", list, where):
+            _require(bank, "bank", int, f"{where}.banks")
+            _require(bank, "max_depth", int, f"{where}.banks")
+            _require(bank, "mean_depth", (int, float), f"{where}.banks")
+            for sample in _require(bank, "samples", list, f"{where}.banks"):
+                if not _int_list(sample, 2):
+                    raise SchemaError(f"{where}: bad sample {sample!r}")
+
 
 @register_probe("message_latency")
 class MessageLatency(Probe):
@@ -250,3 +395,34 @@ class MessageLatency(Probe):
         messages = {kind: dict(sorted(by_class.items()))
                     for kind, by_class in sorted(self._messages.items())}
         return {"round_trip": round_trip, "messages": messages}
+
+    @staticmethod
+    def rows(section: dict) -> tuple:
+        rows = [[op, upper, count]
+                for op, entry in section["round_trip"].items()
+                for upper, count in entry["histogram"]]
+        return ["op", "bucket_le_cycles", "count"], rows
+
+    @staticmethod
+    def render(report, section: dict, width: int) -> str:
+        from ..eval.reporting import render_table
+        rows = [(op, entry["count"], entry["mean_cycles"],
+                 entry["max_cycles"])
+                for op, entry in section["round_trip"].items()]
+        return render_table(["op", "count", "mean cycles", "max cycles"],
+                            rows, title="request round-trip latency")
+
+    @staticmethod
+    def check(section: dict, where: str) -> None:
+        round_trip = _require(section, "round_trip", dict, where)
+        for op, entry in round_trip.items():
+            sub = f"{where}.round_trip[{op!r}]"
+            _require(entry, "count", int, sub)
+            _require(entry, "total_cycles", int, sub)
+            _require(entry, "mean_cycles", (int, float), sub)
+            _require(entry, "max_cycles", int, sub)
+            for bucket in _require(entry, "histogram", list, sub):
+                if not _int_list(bucket, 2):
+                    raise SchemaError(
+                        f"{sub}: bad histogram bucket {bucket!r}")
+        _require(section, "messages", dict, where)

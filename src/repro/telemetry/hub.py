@@ -9,10 +9,12 @@ load and one ``is not None`` branch::
     if cb is not None:
         cb(now, self.bank_id, msg, queued)
 
-which is the same cost discipline as the ``tracer.enabled`` gating the
-hot paths already pay — probes that are not installed cost nothing but
-that branch (``BENCH_engine.json`` tracks that this stays within noise
-of the PR-1 fast path).
+so probes that are not installed cost nothing but that branch.  A
+site that must build a payload (e.g. a protocol record's detail
+string) builds it only inside that branch.  The hub is the
+simulator's only recording path: the protocol log
+(:class:`~repro.telemetry.trace.Tracer`) is a probe on it like any
+other.
 
 Probes subscribe callbacks by hook name; the first subscriber is
 installed directly (no dispatch indirection), further subscribers
@@ -32,6 +34,9 @@ from typing import Callable
 #: * ``bank_access(cycle, bank_id, msg, queued)`` — a request or
 #:   WakeUpRequest entered a bank port; ``queued`` is how many cycles
 #:   it waits behind the busy port (0 = serviced on arrival).
+#: * ``bank_service(cycle, bank_id, msg)`` — a bank port starts
+#:   servicing ``msg`` this cycle (after any queueing; the adapter has
+#:   not yet seen it).
 #: * ``bank_response(cycle, bank_id, resp)`` — a bank sent a
 #:   :class:`~repro.interconnect.messages.MemResponse` (failures show
 #:   retry pressure).
@@ -44,8 +49,11 @@ from typing import Callable
 #:   ``cls`` (``local``/``group``/``global``).
 #: * ``response(cycle, core_id, resp, waited)`` — a core received the
 #:   response to its outstanding request after ``waited`` cycles.
-HOOKS = ("bank_access", "bank_response", "core_state", "queue_depth",
-         "message", "response")
+#: * ``protocol(cycle, bank_id, kind, detail)`` — an adapter's protocol
+#:   transition, e.g. Colibri's ``colibri_alloc``/``colibri_free`` of a
+#:   queue register pair; ``detail`` is a human-readable string.
+HOOKS = ("bank_access", "bank_service", "bank_response", "core_state",
+         "queue_depth", "message", "response", "protocol")
 
 
 class Telemetry:

@@ -12,6 +12,11 @@ samplers — and are looked up by name from the CLI (``repro trace
 Unlike workloads (stateless singletons), probes accumulate per-run
 state, so the registry stores *classes* and :func:`create_probe`
 instantiates a fresh one per run.
+
+A probe class also owns the format of its section: :meth:`Probe.rows`
+(CSV), :meth:`Probe.render` (ASCII) and :meth:`Probe.check` (schema).
+Reports hold plain section dicts, so they find the class by section
+name through :func:`probe_class`.
 """
 
 from __future__ import annotations
@@ -51,6 +56,26 @@ class Probe:
         raise NotImplementedError(
             f"probe {type(self).__name__} does not implement report()")
 
+    # -- section format (plain functions of a section dict) --------------
+
+    @staticmethod
+    def rows(section: dict) -> tuple:
+        """CSV ``(headers, rows)`` of a section; by default its
+        top-level scalars as key/value pairs."""
+        rows = [[key, value] for key, value in sorted(section.items())
+                if isinstance(value, (int, float, str, bool))]
+        return ["key", "value"], rows
+
+    @staticmethod
+    def render(report, section: dict, width: int) -> str:
+        """ASCII view of a section in ``report``; ``""`` shows none."""
+        return ""
+
+    @staticmethod
+    def check(section: dict, where: str) -> None:
+        """Raise :class:`~repro.obs.schema.SchemaError` unless the
+        section has this probe's layout; by default accepts any dict."""
+
 
 #: name -> probe class.
 _PROBES = Registry("probe", UnknownProbeError)
@@ -59,3 +84,9 @@ unregister_probe = _PROBES.unregister
 get_probe = _PROBES.get
 create_probe = _PROBES.create
 list_probes = _PROBES.items
+
+
+def probe_class(name: str) -> type:
+    """The probe class that formats section ``name``: the registered
+    class, or the base :class:`Probe` for an unregistered name."""
+    return _PROBES.entries.get(name, Probe)

@@ -5,8 +5,9 @@ to one run together with enough run identity (workload, variant, shape,
 seed, final cycle) to interpret them later.  It is plain data: it
 round-trips through ``to_dict``/``from_dict`` (and JSON), flattens to
 one CSV table per probe, and renders the paper-style diagnostics — the
-per-bank contention heatmap and the core-state timeline — as ASCII via
-:mod:`repro.eval.reporting`.
+per-bank contention heatmap and the core-state timeline — as ASCII.
+Each section's CSV rows, ASCII view and schema come from its probe
+class (:func:`~repro.telemetry.probes.probe_class`).
 
 Reports are deliberately **not** stored in the scenario result cache
 (see :func:`repro.scenarios.run.run_scenarios`): probe data scales with
@@ -22,18 +23,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..engine.errors import ConfigError
+from .probes import probe_class
+from .schema import validate_report
 
 #: Bump when the report layout changes incompatibly.
 REPORT_VERSION = 1
-
-#: Core-state glyphs shared by the ASCII timeline and its legend.
-TIMELINE_GLYPHS = {
-    "idle": " ",
-    "active": "#",
-    "stalled": "-",
-    "sleeping": ".",
-    "finished": " ",
-}
 
 
 @dataclass
@@ -88,6 +82,9 @@ class TelemetryReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TelemetryReport":
+        """Load a report, raising :class:`ConfigError` (a
+        :class:`~repro.obs.schema.SchemaError` for a malformed layout)
+        unless ``data`` is a valid report."""
         if not isinstance(data, dict):
             raise ConfigError(f"report data must be a dict, got {data!r}")
         known = {"version", "cycles", "num_cores", "num_banks", "variant",
@@ -95,6 +92,7 @@ class TelemetryReport:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ConfigError(f"unknown report fields {unknown}")
+        validate_report(data)
         return cls(**data)
 
     def to_json(self, indent: Optional[int] = None) -> str:
@@ -116,15 +114,15 @@ class TelemetryReport:
     def to_csv(self, directory: str) -> dict:
         """One CSV file per probe section under ``directory``.
 
-        Returns ``{probe_name: path}``.  Known probes flatten to tidy
-        long-format tables; unknown (user-registered) probes fall back
-        to a generic key/value dump of their section's scalars.
+        Returns ``{probe_name: path}``.  Each section is flattened by
+        its probe class's :meth:`~repro.telemetry.probes.Probe.rows`:
+        tidy long-format tables for the built-in probes, a key/value
+        dump of the section's scalars by default.
         """
         os.makedirs(directory, exist_ok=True)
         paths = {}
         for name, section in sorted(self.probes.items()):
-            flatten = _CSV_FLATTENERS.get(name, _flatten_generic)
-            headers, rows = flatten(section)
+            headers, rows = probe_class(name).rows(section)
             path = os.path.join(directory, f"{name}.csv")
             with open(path, "w", newline="") as stream:
                 writer = csv.writer(stream)
@@ -147,135 +145,7 @@ class TelemetryReport:
         parts = [render_table(["field", "value"], rows,
                               title="telemetry report")]
         for name in sorted(self.probes):
-            renderer = _SECTION_RENDERERS.get(name)
-            if renderer is not None:
-                parts.append(renderer(self, self.probes[name], width))
+            view = probe_class(name).render(self, self.probes[name], width)
+            if view:
+                parts.append(view)
         return "\n\n".join(parts)
-
-
-# -- per-probe CSV flatteners -----------------------------------------------
-
-
-def _flatten_bank_contention(section) -> tuple:
-    headers = ["bank", "window_start", "accesses", "conflicts",
-               "queued_cycles"]
-    window = section["window_cycles"]
-    rows = []
-    for bank in section["banks"]:
-        for index, accesses, conflicts, queued in bank["windows"]:
-            rows.append([bank["bank"], index * window, accesses,
-                         conflicts, queued])
-    return headers, rows
-
-
-def _flatten_core_timeline(section) -> tuple:
-    rows = [[core["core"], state, start, end]
-            for core in section["cores"]
-            for state, start, end in core["spans"]]
-    return ["core", "state", "start", "end"], rows
-
-
-def _flatten_queue_occupancy(section) -> tuple:
-    rows = [[bank["bank"], cycle, depth]
-            for bank in section["banks"]
-            for cycle, depth in bank["samples"]]
-    return ["bank", "cycle", "depth"], rows
-
-
-def _flatten_message_latency(section) -> tuple:
-    headers = ["op", "bucket_le_cycles", "count"]
-    rows = []
-    for op, entry in section["round_trip"].items():
-        for upper, count in entry["histogram"]:
-            rows.append([op, upper, count])
-    return headers, rows
-
-
-def _flatten_generic(section) -> tuple:
-    """Fallback for user-registered probes: top-level scalars only."""
-    rows = [[key, value] for key, value in sorted(section.items())
-            if isinstance(value, (int, float, str, bool))]
-    return ["key", "value"], rows
-
-
-_CSV_FLATTENERS = {
-    "bank_contention": _flatten_bank_contention,
-    "core_timeline": _flatten_core_timeline,
-    "queue_occupancy": _flatten_queue_occupancy,
-    "message_latency": _flatten_message_latency,
-}
-
-
-# -- per-probe ASCII views ----------------------------------------------------
-
-
-def _render_bank_contention(report, section, width) -> str:
-    from ..eval.reporting import render_heatmap, render_table
-    window = section["window_cycles"]
-    num_windows = max(1, -(-max(report.cycles, 1) // window))
-    matrix = []
-    labels = []
-    idle = 0
-    for bank in section["banks"]:
-        if not bank["accesses"]:
-            idle += 1
-            continue
-        dense = [0] * num_windows
-        for index, accesses, _conflicts, _queued in bank["windows"]:
-            if index < num_windows:
-                dense[index] += accesses
-        matrix.append(dense)
-        labels.append(f"bank{bank['bank']}")
-    suffix = f"; {idle} idle banks omitted" if idle else ""
-    heat = render_heatmap(
-        matrix, labels, width=width,
-        title=(f"bank accesses per {window}-cycle window "
-               f"(total {report.cycles} cycles{suffix})"))
-    rows = [(bank["bank"], bank["accesses"], bank["conflicts"],
-             bank["queued_cycles"], bank["failed_responses"])
-            for bank in section["banks"] if bank["accesses"]]
-    totals = render_table(
-        ["bank", "accesses", "conflicts", "queued cycles", "failed resp"],
-        rows, title="bank totals (banks with traffic)")
-    return heat + "\n\n" + totals
-
-
-def _render_core_timeline(report, section, width) -> str:
-    from ..eval.reporting import render_timeline
-    lanes = [(f"core{core['core']}",
-              [(state, start, end) for state, start, end in core["spans"]])
-             for core in section["cores"]]
-    legend = "  ".join(f"{glyph or ' '!r}={state}"
-                       for state, glyph in TIMELINE_GLYPHS.items()
-                       if glyph.strip())
-    timeline = render_timeline(
-        lanes, end=max(report.cycles, 1), width=width,
-        glyphs=TIMELINE_GLYPHS,
-        title=f"core states over {report.cycles} cycles ({legend})")
-    return timeline
-
-
-def _render_queue_occupancy(report, section, width) -> str:
-    from ..eval.reporting import render_table
-    rows = [(bank["bank"], bank["max_depth"], bank["mean_depth"])
-            for bank in section["banks"] if bank["samples"]]
-    if not rows:
-        rows = [("(no queue activity)", "", "")]
-    return render_table(["bank", "max depth", "mean depth"], rows,
-                        title="reservation/wait-queue occupancy")
-
-
-def _render_message_latency(report, section, width) -> str:
-    from ..eval.reporting import render_table
-    rows = [(op, entry["count"], entry["mean_cycles"], entry["max_cycles"])
-            for op, entry in section["round_trip"].items()]
-    return render_table(["op", "count", "mean cycles", "max cycles"], rows,
-                        title="request round-trip latency")
-
-
-_SECTION_RENDERERS = {
-    "bank_contention": _render_bank_contention,
-    "core_timeline": _render_core_timeline,
-    "queue_occupancy": _render_queue_occupancy,
-    "message_latency": _render_message_latency,
-}

@@ -1,6 +1,6 @@
 """VCD (Value Change Dump) export of simulation traces.
 
-Turns a :class:`~repro.engine.trace.Tracer` recording into a waveform
+Turns a :class:`~repro.telemetry.trace.Tracer` recording into a waveform
 file viewable in GTKWave or any EDA waveform viewer:
 
 * one string signal per **core** showing its FSM state (``active`` /

@@ -1,6 +1,6 @@
 """Unit tests for the tracer."""
 
-from repro.engine.trace import Tracer
+from repro.telemetry.trace import Tracer
 
 
 def test_disabled_tracer_records_nothing():

@@ -5,8 +5,8 @@ import io
 import pytest
 
 from repro import Machine, SystemConfig, VariantSpec
-from repro.engine.trace import Tracer
-from repro.engine.vcd import VcdWriter, write_vcd, _identifier
+from repro.telemetry.trace import Tracer
+from repro.telemetry.vcd import VcdWriter, write_vcd, _identifier
 
 from ..conftest import increment_kernel_wait
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Machine, SystemConfig, VariantSpec
-from repro.engine.trace import Tracer
+from repro.telemetry.trace import Tracer
 from repro.interconnect.messages import Status
 from repro.sync.locks import MwaitMcsLock
 

@@ -12,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from repro.engine.trace import Tracer
+from repro.telemetry.trace import Tracer
 from repro.memory.variants import VariantSpec, list_variants
 from repro.scenarios import build_machine, default_spec, get_workload
 from repro.scenarios.spec import variant_string
