@@ -6,13 +6,14 @@ simulator telemetry: **disabled — the default — costs one attribute
 load plus a branch per site**, so the 24-point smoke campaign below
 must stay within noise of the ``PR6-batch-core`` baseline with the
 hooks compiled in.  That is the regression this file gates;
-enabled-mode cost is reported (it pays for span bookkeeping and
-``perf_counter`` reads) but only correctness-gated, because recording
-is opt-in per run.
+enabled-mode cost is reported (it pays for one event-log line per span
+begin, span end and counter) but only correctness-gated, because
+recording is opt-in per run.
 
 The enabled-mode bench also reconciles the point spans against the
-campaign: the observed run must report one ``span.point`` per spec, or
-the instrumentation is lying about what the harness did.
+campaign: the ``OBS.metrics`` fold over the recorded events must report
+one ``span.point`` per spec, or the instrumentation is lying about what
+the harness did.
 
 PR 9 threads a second instrument family through the same sites: the
 campaign event log and worker heartbeats (``OBS.events`` /

@@ -4,10 +4,11 @@ cache pays on the second run.
 
 PR 3 gave the *simulator* telemetry (what the cores and banks did
 inside one run); this example exercises the *platform* observability
-around it (what the harness did across many runs): nested spans
-(campaign → schedule-batch → point → build/run/collect-stats) exported
-as a Chrome trace, and a metrics registry counting cache hits, pool
-reuse and campaign progress.  The payoff shown here: a re-run of the
+around it (what the harness did across many runs).  Every nested span
+(campaign → schedule-batch → point → build/run/collect-stats), cache
+hit and campaign batch is one record in the harness's event log; the
+Chrome trace and ``OBS.metrics`` (cache hits, campaign progress) are
+folds over those records.  The payoff shown here: a re-run of the
 same campaign against a warm result cache is answered entirely from
 cache — and the counters prove it, instead of asking you to trust a
 faster wall clock.

@@ -198,6 +198,37 @@ repro obs summary obs-artifacts/campaign-trace.json
 repro obs summary obs-artifacts/campaign/journal.json
 repro cache stats --cache-dir .ci-obs-cache
 
+step "spans and events are one record stream under --jobs 2 --events"
+# With the control plane open, the trace is a fold over the campaign's
+# own events.jsonl: one point span per point_started record.
+repro explore histogram --smoke \
+  --axis bins=1,4 --axis variant=lrsc,colibri \
+  --objective min:cycles --budget 4 --jobs 2 \
+  --events --out obs-artifacts/recorded \
+  --obs-trace obs-artifacts/recorded/trace.json
+python -m repro.obs obs-artifacts/recorded/trace.json \
+  obs-artifacts/recorded/events.jsonl
+python - <<'EOF'
+import json
+
+with open("obs-artifacts/recorded/trace.json") as stream:
+    trace = json.load(stream)
+with open("obs-artifacts/recorded/events.jsonl") as stream:
+    records = [json.loads(line) for line in stream if line.strip()]
+spans = sum(1 for event in trace["traceEvents"]
+            if event["ph"] == "X" and event["cat"] == "point")
+started = sum(1 for record in records
+              if record["event"] == "point_started")
+assert spans == started > 0, (spans, started)
+print("point spans match point_started records:", spans)
+EOF
+repro status obs-artifacts/recorded --json | python -c "
+import json, sys
+status = json.load(sys.stdin)
+assert status['state'] == 'finished (complete)', status['state']
+print('status:', status['state'])
+"
+
 step "profile dumps loadable pstats (and refuses --jobs 2)"
 repro sweep histogram --cores 8 --set updates_per_core=2 \
   --axis bins=1,4 --profile obs-artifacts/sweep.pstats

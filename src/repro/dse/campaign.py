@@ -418,7 +418,8 @@ class Campaign:
             events.emit("batch_scheduled", batch=batch_index,
                         rung=batch.rung, fidelity=batch.fidelity,
                         points=len(planned), fresh=len(fresh_specs),
-                        truncated=truncated)
+                        truncated=truncated,
+                        budget_remaining=self.budget - paid)
         sim_start = time.perf_counter()
         computed = self._simulate(fresh_specs)
         sim_ms = (time.perf_counter() - sim_start) * 1000.0
@@ -468,11 +469,6 @@ class Campaign:
                             cache_hit=evaluation.cache_hit,
                             paid=not evaluation.cached,
                             wall_ms=evaluation.wall_ms, source=source)
-        if OBS.enabled:
-            OBS.inc("campaign.points", len(planned))
-            OBS.inc("campaign.paid", len(fresh_specs))
-            OBS.inc("campaign.free", len(planned) - len(fresh_specs))
-            OBS.gauge("campaign.budget_remaining", self.budget - paid)
         return paid, truncated
 
     def _simulate(self, specs: list) -> list:

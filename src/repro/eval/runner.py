@@ -260,8 +260,6 @@ class ResultCache:
             self.write_errors += 1
             return
         self.stores += 1
-        if OBS.enabled:
-            OBS.inc("cache.store")
         if OBS.events is not None:
             OBS.events.emit("cache_store", key=key[:12])
         if self.max_entries is not None:
@@ -385,8 +383,6 @@ class ResultCache:
             self._memory.pop(key, None)
             removed += 1
         self.evictions += removed
-        if removed and OBS.enabled:
-            OBS.inc("cache.evict", removed)
         if removed and OBS.events is not None:
             OBS.events.emit("cache_evict", count=removed)
         self._disk_count = len(entries) - removed
@@ -401,27 +397,28 @@ class ResultCache:
         self._disk_count = 0
 
 
-def _pool_worker_init(events_file: str, heartbeat_interval) -> None:
-    """Pool initializer when the parent has the control plane open.
+def _pool_worker_init(events_file: str, heartbeat_interval, enabled: bool,
+                      parent_span) -> None:
+    """Pool initializer when the parent has an event log open.
 
-    Each worker opens its own appender on the shared ``events.jsonl``
-    (the parent's handle inherited through fork would reuse its seq
-    counter), starts its own heartbeat file, and announces itself.
-    The farewell is a :class:`multiprocessing.util.Finalize` hook —
-    pool workers exit through ``os._exit``, which skips ``atexit`` but
-    does run multiprocessing's registered finalizers — so a normal
-    ``Pool.close()``/``join()`` (see :func:`run_experiments`) emits
-    ``worker_exited`` and removes the heartbeat file, while only an
-    abnormal death skips it: exactly the case heartbeats exist to
-    expose.
+    Each worker opens its own appender on the parent's log (the
+    control plane's ``events.jsonl`` or an enabled session's private
+    log; the parent's handle inherited through fork would reuse its
+    seq counter), starts its own heartbeat file when the parent has
+    one, and announces itself.  Its top-level spans hang under
+    ``parent_span``, the span open in the parent when the pool
+    started.  The farewell is a :class:`multiprocessing.util.Finalize`
+    hook — pool workers exit through ``os._exit``, which skips
+    ``atexit`` but does run multiprocessing's registered finalizers —
+    so a normal ``Pool.close()``/``join()`` (see
+    :func:`run_experiments`) emits ``worker_exited`` and removes the
+    heartbeat file, while only an abnormal death skips it: exactly the
+    case heartbeats exist to expose.
     """
     from multiprocessing.util import Finalize
-    # Forked workers inherit the parent's EventLog/Heartbeat objects;
-    # closing those would delete the *coordinator's* heartbeat file.
-    # Drop the references without touching disk, then open our own.
-    OBS.events = None
-    OBS.heartbeat = None
+    OBS.enter_worker(enabled, parent_span)
     OBS.open_events(events_file, role="worker",
+                    heartbeat=heartbeat_interval is not None,
                     heartbeat_interval=heartbeat_interval)
     OBS.events.emit("worker_spawned", role="worker")
     Finalize(None, _pool_worker_exit, exitpriority=100)
@@ -433,30 +430,6 @@ def _pool_worker_exit() -> None:
         OBS.events.emit("worker_exited",
                         points=monitor.points if monitor else 0)
     OBS.close_events()
-
-
-def _invoke(payload: tuple):
-    """Pool worker: unpack and run one call (module-level for pickling)."""
-    fn, args, kwargs = payload
-    return fn(*args, **kwargs)
-
-
-def _invoke_observed(payload: tuple):
-    """Observed pool worker: run one call under a fresh obs session and
-    ship ``(result, snapshot)`` back for deterministic merging.
-
-    Each call gets its own session (workers are reused across calls,
-    and a per-call snapshot is what lets the parent merge in *call*
-    order regardless of which worker ran what), so ``jobs=1`` and
-    ``jobs=N`` report identical counter totals and span trees.
-    """
-    fn, args, kwargs = payload
-    OBS.enable()
-    try:
-        result = fn(*args, **kwargs)
-        return result, OBS.snapshot()
-    finally:
-        OBS.disable()
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -516,30 +489,21 @@ def run_experiments(calls: Sequence[ExperimentCall], jobs: int = 1,
     if jobs == 1 or len(pending) == 1:
         computed = [call.invoke() for _index, call in pending]
     else:
-        payloads = [(call.fn, call.args, call.kwargs)
-                    for _index, call in pending]
-        workers = min(jobs, len(payloads))
+        workers = min(jobs, len(pending))
         events = OBS.events
         initializer = initargs = None
         if events is not None:
             monitor = OBS.heartbeat
             initializer = _pool_worker_init
             initargs = (events.path,
-                        monitor.interval if monitor is not None else None)
+                        monitor.interval if monitor is not None else None,
+                        OBS.enabled, OBS.current)
         with multiprocessing.Pool(processes=workers,
                                   initializer=initializer,
                                   initargs=initargs or ()) as pool:
-            if OBS.enabled:
-                # Workers record their own spans/counters; snapshots
-                # come back in call order (pool.map preserves it), so
-                # merging here is deterministic for any jobs value.
-                computed = []
-                for result, snap in pool.map(_invoke_observed, payloads,
-                                             chunksize=1):
-                    OBS.merge_worker(snap)
-                    computed.append(result)
-            else:
-                computed = pool.map(_invoke, payloads, chunksize=1)
+            computed = pool.map(ExperimentCall.invoke,
+                                [call for _index, call in pending],
+                                chunksize=1)
             if events is not None:
                 # The ``with`` block terminates workers outright; a
                 # close/join first lets their atexit farewells (the

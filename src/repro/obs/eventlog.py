@@ -1,4 +1,4 @@
-"""Append-only structured event log — the campaign control plane.
+"""Append-only structured event log — the one record of harness activity.
 
 Every campaign state transition becomes one JSON record on one line of
 ``events.jsonl``, written next to the journal: campaign started and
@@ -9,6 +9,13 @@ pool workers spawning and exiting.  The journal remains the durable
 what lets a second process (``repro status``, a future coordinator, a
 human with ``tail -f``) answer "how far along is this campaign and are
 its workers alive" without attaching to the running interpreter.
+
+A recording session (:meth:`~repro.obs.session.ObsSession.enable`)
+writes into the same stream through the same :meth:`EventLog.emit`:
+``span_begin``/``span_end`` (``span`` and ``parent`` ids, ``name``,
+``cat``, ``args``; ``t`` in :func:`time.perf_counter` seconds) and
+``counter``/``gauge`` records.  The Chrome trace and its metrics are
+folds over them (:func:`repro.obs.session.fold_records`).
 
 Design constraints, in order:
 
@@ -57,6 +64,10 @@ EVENT_TYPES = {
     "worker_spawned": ("role",),
     "worker_exited": ("points",),
     "journal_written": ("evaluations",),
+    "span_begin": ("span", "parent", "name", "cat", "t"),
+    "span_end": ("span", "t"),
+    "counter": ("name", "amount"),
+    "gauge": ("name", "value"),
 }
 
 #: Envelope fields present on every record.
@@ -74,6 +85,7 @@ _COUNT_FIELDS = {
     "cache_evict": ("count",),
     "worker_exited": ("points",),
     "journal_written": ("evaluations",),
+    "counter": ("amount",),
 }
 
 
@@ -96,6 +108,10 @@ class EventLog:
         self.path = path
         self._pid = os.getpid()
         self._seq = 0
+        #: Unique to this writer session (pids recycle, and a fork heal
+        #: starts a new session), so span ids stay unique across every
+        #: process that ever appends to the file.
+        self.writer = os.urandom(6).hex()
         self._stream = open(path, "a", encoding="utf-8")
 
     @property
@@ -126,6 +142,7 @@ class EventLog:
         self._stream = open(self.path, "a", encoding="utf-8")
         self._pid = pid
         self._seq = 0
+        self.writer = os.urandom(6).hex()
 
     def close(self) -> None:
         try:
@@ -221,9 +238,11 @@ def validate_events(records) -> None:
             if field not in record:
                 continue
             value = record[field]
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not isinstance(value, int) or isinstance(value, bool) \
+                    or value < 0:
                 raise SchemaError(
-                    f"{where}: {field!r} must be an int, got {value!r}")
+                    f"{where}: {field!r} must be an int >= 0, "
+                    f"got {value!r}")
         if "wall_ms" in record:
             wall = record["wall_ms"]
             if not isinstance(wall, (int, float)) or isinstance(wall, bool) \

@@ -18,12 +18,13 @@ instrumentation site:
   ``repro serve``'s latency reporting).  :meth:`MetricsRegistry.histo`
   folds one observation in.
 
-Everything is plain dicts of JSON scalars so a snapshot pickles across
-worker processes and embeds directly in the exported trace document;
-:meth:`MetricsRegistry.merge` folds a worker's snapshot into the
-parent's registry (counters and timers add, gauges last-write-win),
-which is what makes ``jobs=1`` and ``jobs=N`` runs report identical
-totals.
+Nothing is recorded into a registry directly: the harness writes
+``counter``/``gauge``/span records to its event log, and
+:func:`repro.obs.session.fold_records` folds them into a fresh
+registry whose :meth:`MetricsRegistry.snapshot` — plain dicts of JSON
+scalars — embeds in the exported trace document.  Since every process
+appends to the same log, ``jobs=1`` and ``jobs=N`` runs fold to
+identical totals.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class Histogram:
         }
 
     def to_dict(self) -> dict:
-        """Picklable/JSON-able form (bucket list trimmed of the tail)."""
+        """JSON-able form (bucket list trimmed of the tail)."""
         top = 0
         for index, occupancy in enumerate(self.buckets):
             if occupancy:
@@ -149,34 +150,9 @@ class MetricsRegistry:
             histogram = self.histograms[name] = Histogram()
         histogram.observe(seconds)
 
-    def merge(self, counters: dict = None, gauges: dict = None,
-              timers: dict = None, histograms: dict = None) -> None:
-        """Fold another registry's snapshot into this one.
-
-        Counters and timers are additive across processes; gauges are
-        point-in-time, so the merged-in value simply wins.
-        """
-        for name, amount in (counters or {}).items():
-            self.counters[name] = self.counters.get(name, 0) + amount
-        for name, value in (gauges or {}).items():
-            self.gauges[name] = value
-        for name, timer in (timers or {}).items():
-            mine = self.timers.get(name)
-            if mine is None:
-                self.timers[name] = dict(timer)
-                continue
-            mine["count"] += timer["count"]
-            mine["total_s"] += timer["total_s"]
-            mine["min_s"] = min(mine["min_s"], timer["min_s"])
-            mine["max_s"] = max(mine["max_s"], timer["max_s"])
-        for name, data in (histograms or {}).items():
-            histogram = self.histograms.get(name)
-            if histogram is None:
-                histogram = self.histograms[name] = Histogram()
-            histogram.merge_dict(data)
-
     def snapshot(self) -> dict:
-        """A picklable/JSON-able copy of every metric."""
+        """A JSON-able copy of every metric (the trace's
+        ``otherData``)."""
         return {
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),

@@ -1,6 +1,6 @@
 """Opt-in per-phase cProfile accumulation.
 
-``--profile OUT`` answers the question the span tracer cannot: not
+``--profile OUT`` answers the question spans cannot: not
 *which* phase is hot but *what inside it* burns the time.  One
 :class:`cProfile.Profile` accumulates per phase name (``build``,
 ``run``, ``collect-stats``, ``acquire``...), re-enabled on every

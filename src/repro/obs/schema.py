@@ -63,7 +63,7 @@ def validate_trace(data: dict) -> None:
     """Raise :class:`SchemaError` unless ``data`` is a valid trace."""
     events = _require(data, "traceEvents", list, "trace")
     ids = set()
-    parents = []
+    parents = []                  # (where, span id, parent id)
     for position, event in enumerate(events):
         where = f"trace.traceEvents[{position}]"
         _require(event, "name", str, where)
@@ -98,12 +98,24 @@ def validate_trace(data: dict) -> None:
                 f"{where}.args: parent must be a span id or null, "
                 f"got {parent!r}")
         if parent is not None:
-            parents.append((where, parent))
-    for where, parent in parents:
+            parents.append((where, span_id, parent))
+    parent_of = {span_id: parent for _where, span_id, parent in parents}
+    for where, span_id, parent in parents:
         if parent not in ids:
             raise SchemaError(
                 f"{where}: orphaned span (parent {parent} is not among "
                 f"the recorded spans)")
+        # Spans form a forest: walking up from any span must reach a
+        # root within as many steps as there are spans.
+        ancestor = parent
+        for _step in range(len(parent_of)):
+            if ancestor == span_id:
+                raise SchemaError(
+                    f"{where}: span {span_id} is its own ancestor "
+                    f"(parent cycle)")
+            ancestor = parent_of.get(ancestor)
+            if ancestor is None:
+                break
     other = data.get("otherData")
     if other is None:
         return

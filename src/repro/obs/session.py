@@ -12,53 +12,53 @@ every site is one attribute load plus a branch, bench-guarded by
     if OBS.enabled:
         OBS.inc("cache.hit")
 
+    if OBS.events is not None:
+        OBS.events.emit("cache_store", key=key)
+
     with OBS.span("run", cat="phase"):
         ...   # a no-op null context manager while disabled
 
-Enabled (``--obs-trace`` / ``--profile``), the session owns one
-:class:`~repro.obs.tracer.SpanTracer`, one
-:class:`~repro.obs.metrics.MetricsRegistry` and optionally one
-:class:`~repro.obs.profile.PhaseProfiler`.  Pool workers run their own
-fresh session per call and ship a :meth:`~ObsSession.snapshot` back;
-the parent folds snapshots in **call order** via
-:meth:`~ObsSession.merge_worker`, so counter totals and span parentage
-are identical for any ``--jobs`` value.  Every closed span also feeds
-the ``span.<cat>`` timer, which is how ``repro obs summary`` reads
-utilization out of an exported trace without re-walking the spans.
+:attr:`ObsSession.events` is the one sink for harness records: the
+campaign's ``events.jsonl`` while the control plane is open
+(:meth:`~ObsSession.open_events`), else — while enabled by
+``--obs-trace`` / ``--profile`` — a private temporary log the session
+deletes at the next :meth:`~ObsSession.enable` or when it goes away.
+Enabled, the session adds ``span_begin``/``span_end``/``counter``/
+``gauge`` records (:mod:`repro.obs.eventlog`); pool workers append to
+the same file, their top-level spans parented by the coordinator span
+open when the pool started (``runner._pool_worker_init``).
+:meth:`~ObsSession.trace_document` and :attr:`~ObsSession.metrics` fold
+the records back (:func:`fold_records`), so counter totals and the
+span tree are the same for any ``--jobs`` value.  Every closed span
+also feeds the ``span.<cat>`` timer, which is how ``repro obs summary``
+reads utilization out of an exported trace without re-walking spans.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import tempfile
 import time
+import weakref
 from typing import Optional
 
+from .eventlog import EventLog, parse_events
 from .metrics import MetricsRegistry
 from .profile import PhaseProfiler
 from .schema import TRACE_VERSION
-from .tracer import SpanTracer
 
 
-class _NullSpan:
-    """The shared do-nothing span returned while the session is off."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-
-_NULL_SPAN = _NullSpan()
+#: The shared do-nothing span returned while the session is off.
+_NULL_SPAN = contextlib.nullcontext()
 
 
 class _SpanHandle:
     """Context manager for one live span (session enabled)."""
 
-    __slots__ = ("_session", "_name", "_cat", "_args", "_span", "_profiled")
+    __slots__ = ("_session", "_name", "_cat", "_args", "_span", "_start",
+                 "_profiled")
 
     def __init__(self, session: "ObsSession", name: str, cat: str,
                  args: dict) -> None:
@@ -69,7 +69,14 @@ class _SpanHandle:
 
     def __enter__(self):
         session = self._session
-        self._span = session.tracer.begin(self._name, self._cat, self._args)
+        log = session.events
+        self._span = f"{log.writer}.{session._next_span}"
+        session._next_span += 1
+        self._start = time.perf_counter()
+        log.emit("span_begin", span=self._span, parent=session.current,
+                 name=self._name, cat=self._cat, t=self._start,
+                 args=self._args)
+        session._open.append(self._span)
         self._profiled = (session.profiler is not None
                           and self._cat == "phase"
                           and session.profiler.start(self._name))
@@ -77,12 +84,89 @@ class _SpanHandle:
 
     def __exit__(self, exc_type, exc, tb):
         session = self._session
-        seconds = session.tracer.end(self._span)
+        now = time.perf_counter()
+        # Closing out of order (an exception unwound past an inner
+        # span) force-closes everything opened after this span at the
+        # same instant, so the records never hold a torn stack.
+        while session._open:
+            span = session._open.pop()
+            if session.events is not None:
+                session.events.emit("span_end", span=span, t=now)
+            if span == self._span:
+                break
         if self._profiled:
-            session.profiler.stop(self._name, seconds)
-        session.metrics.observe("span." + self._cat, seconds)
-        session.metrics.histo("span." + self._cat, seconds)
+            session.profiler.stop(self._name, now - self._start)
         return False
+
+
+def _remove_log(log: EventLog) -> None:
+    log.close()
+    try:
+        os.unlink(log.path)
+    except OSError:
+        pass
+
+
+def fold_records(records: list, origin: float = 0.0,
+                 main_pid: Optional[int] = None):
+    """``(spans, metrics)`` from harness records, in file order.
+
+    ``spans`` are Chrome ``"X"`` events for every closed span, ids
+    numbered in begin order, ``ts``/``dur`` in microseconds after
+    ``origin`` (:func:`time.perf_counter` seconds), one lane per
+    writing process (``main_pid`` on lane 0).  ``metrics`` is a
+    :class:`~repro.obs.metrics.MetricsRegistry` holding the
+    ``counter``/``gauge`` records, the cache and campaign counters the
+    lifecycle events imply, and a ``span.<cat>`` timer and histogram
+    per closed span.
+    """
+    metrics = MetricsRegistry()
+    begun: dict = {}                  # span id -> (trace id, record)
+    ends: dict = {}                   # trace id -> end t
+    for record in records:
+        event = record.get("event")
+        if event == "span_begin":
+            begun[record["span"]] = (len(begun), record)
+        elif event == "span_end":
+            opened = begun.get(record["span"])
+            if opened is not None:
+                ends[opened[0]] = record["t"]
+                seconds = record["t"] - opened[1]["t"]
+                metrics.observe("span." + opened[1]["cat"], seconds)
+                metrics.histo("span." + opened[1]["cat"], seconds)
+        elif event == "counter":
+            metrics.inc(record["name"], record["amount"])
+        elif event == "gauge":
+            metrics.gauge(record["name"], record["value"])
+        elif event == "cache_store":
+            metrics.inc("cache.store")
+        elif event == "cache_evict":
+            metrics.inc("cache.evict", record["count"])
+        elif event == "batch_scheduled":
+            metrics.inc("campaign.points", record["points"])
+            metrics.inc("campaign.paid", record["fresh"])
+            metrics.inc("campaign.free", record["points"] - record["fresh"])
+            metrics.gauge("campaign.budget_remaining",
+                          record["budget_remaining"])
+    lanes = {main_pid: 0}
+    spans = []
+    for span_id, begin in begun.values():
+        if span_id not in ends:
+            continue                  # still open: not in the trace
+        parent = begun.get(begin["parent"], (None,))[0]
+        spans.append({
+            "name": begin["name"],
+            "cat": begin["cat"],
+            "ph": "X",
+            "ts": round((begin["t"] - origin) * 1e6, 3),
+            "dur": round((ends[span_id] - begin["t"]) * 1e6, 3),
+            "pid": 1,
+            "tid": lanes.setdefault(begin["pid"], len(lanes)),
+            "args": dict(begin["args"], id=span_id,
+                         parent=parent if parent in ends else None),
+        })
+    spans.sort(key=lambda span: (span["ts"], span["args"]["id"]))
+    return spans, metrics
 
 
 class ObsSession:
@@ -90,35 +174,85 @@ class ObsSession:
 
     def __init__(self) -> None:
         self.enabled = False
-        self.tracer = SpanTracer()
-        self.metrics = MetricsRegistry()
         self.profiler: Optional[PhaseProfiler] = None
         self.origin = 0.0
-        #: The on-disk control plane, opened per campaign via
-        #: :meth:`open_events`.  Independent of :attr:`enabled` — the
-        #: event log is durable state, not an in-memory recording —
-        #: and ``None`` by default, so every emission site is the same
-        #: one-attr-load-plus-branch as the trace hooks.
+        #: The record sink: the control plane's event log while one is
+        #: open (:meth:`open_events`), else the private log while
+        #: enabled, else ``None`` — so every emission site is the same
+        #: one-attr-load-plus-branch as the span hooks.
         self.events = None
         self.heartbeat = None
-        #: Worker pid -> rendering lane, assigned in merge (= call)
-        #: order so lane numbering is deterministic for a given run.
-        self._tracks: dict = {}
+        #: This session's own temporary log (see :meth:`enable`).
+        self._private = None
+        #: path -> [start, end] byte range this recording wrote to
+        #: (``end`` is ``None`` while still recording there).
+        self._sources: dict = {}
+        #: Ids of the open spans, innermost last.
+        self._open: list = []
+        #: Parent of top-level spans: in a pool worker, the coordinator
+        #: span that was open when the pool started.
+        self._root = None
+        self._next_span = 0
 
     # -- lifecycle ------------------------------------------------------------
 
     def enable(self, profile: bool = False) -> None:
-        """Start a fresh recording session (drops any previous data)."""
-        self.tracer.clear()
-        self.metrics.clear()
+        """Start a fresh recording (drops any previous one)."""
+        old = self._private
+        if old is not None:
+            self._drop()
+        fd, path = tempfile.mkstemp(prefix="repro-obs-", suffix=".jsonl")
+        os.close(fd)
+        self._private = EventLog(path)
+        self._drop = weakref.finalize(self, _remove_log, self._private)
+        if self.events is None or self.events is old:
+            self.events = self._private
+        self._sources = {}
+        self._track(path)
+        self._track(self.events.path)
+        self._open = []
+        self._root = None
+        self._next_span = 0
         self.profiler = PhaseProfiler() if profile else None
-        self._tracks = {}
         self.origin = time.perf_counter()
         self.enabled = True
 
     def disable(self) -> None:
-        """Stop recording (buffers stay readable until the next enable)."""
+        """Stop recording (the records stay readable until the next
+        enable)."""
+        for path in self._sources:
+            self._freeze(path)
         self.enabled = False
+        if self.events is self._private:
+            self.events = None
+
+    def enter_worker(self, enabled: bool, parent) -> None:
+        """Continue the coordinator's recording in a forked pool worker.
+
+        The inherited event log, heartbeat and private log belong to
+        the coordinator (closing its heartbeat would delete the
+        coordinator's file), so they are dropped without touching disk
+        before the worker opens its own appender with
+        :meth:`open_events`.  ``parent`` is the coordinator span the
+        worker's top-level spans hang under.
+        """
+        if self._private is not None:
+            self._drop.detach()
+        self.__init__()
+        self.enabled = enabled
+        self._root = parent
+
+    def _track(self, path: str) -> None:
+        source = self._sources.get(path)
+        if source is None:
+            self._sources[path] = [os.path.getsize(path), None]
+        else:
+            source[1] = None
+
+    def _freeze(self, path: str) -> None:
+        source = self._sources.get(path)
+        if source is not None and source[1] is None:
+            source[1] = os.path.getsize(path)
 
     def open_events(self, path: str, role: str = "coordinator",
                     heartbeat: bool = True,
@@ -128,13 +262,15 @@ class ObsSession:
         ``path`` is the ``events.jsonl`` file; the heartbeat directory
         lives beside it.  Replaces any previously open control plane.
         Orthogonal to :meth:`enable` — campaigns can write events
-        without paying for span recording, and vice versa.
+        without recording spans; an enabled session records into this
+        log until :meth:`close_events`.
         """
-        from .eventlog import EventLog
         from .heartbeat import DEFAULT_INTERVAL, Heartbeat
         from .heartbeat import heartbeat_dir as resolve_heartbeat_dir
         self.close_events()
         self.events = EventLog(path)
+        if self.enabled:
+            self._track(path)
         if heartbeat:
             directory = os.path.dirname(os.path.abspath(path))
             interval = (DEFAULT_INTERVAL if heartbeat_interval is None
@@ -146,19 +282,18 @@ class ObsSession:
 
     def close_events(self, keep_heartbeat: bool = False) -> None:
         """Close the control plane; removes this process's heartbeat
-        file (unless ``keep_heartbeat``) so a clean exit reads as one."""
+        file (unless ``keep_heartbeat``) so a clean exit reads as one.
+        An enabled session goes back to recording into its private
+        log."""
         monitor, self.heartbeat = self.heartbeat, None
         if monitor is not None:
             monitor.stop(remove=not keep_heartbeat)
-        log, self.events = self.events, None
-        if log is not None:
-            log.close()
-
-    def emit(self, event: str, **fields) -> None:
-        """Emit one control-plane event if the log is open, else no-op."""
         log = self.events
-        if log is not None:
-            log.emit(event, **fields)
+        if log is None or log is self._private:
+            return
+        self.events = self._private if self.enabled else None
+        self._freeze(log.path)
+        log.close()
 
     # -- recording ------------------------------------------------------------
 
@@ -169,73 +304,48 @@ class ObsSession:
         ``schedule``, ``point``, ``phase``); ``args`` become the span's
         Chrome-trace args, so keep them small JSON scalars.  Disabled
         sessions return a shared null context manager — callers never
-        branch themselves.
+        branch themselves.  Entering yields the span's id.
         """
         if not self.enabled:
             return _NULL_SPAN
         return _SpanHandle(self, name, cat, args)
 
+    @property
+    def current(self):
+        """Id of the innermost open span: the next span's parent."""
+        return self._open[-1] if self._open else self._root
+
     def inc(self, name: str, amount: int = 1) -> None:
         if self.enabled:
-            self.metrics.inc(name, amount)
+            self.events.emit("counter", name=name, amount=amount)
 
     def gauge(self, name: str, value) -> None:
         if self.enabled:
-            self.metrics.gauge(name, value)
+            self.events.emit("gauge", name=name, value=value)
 
-    def observe(self, name: str, seconds: float) -> None:
-        if self.enabled:
-            self.metrics.observe(name, seconds)
+    # -- readers --------------------------------------------------------------
 
-    # -- cross-process merging -----------------------------------------------
+    def records(self) -> list:
+        """This recording's records, read back from every log it wrote
+        to (pool workers' appends included)."""
+        records = []
+        for path, (start, end) in self._sources.items():
+            try:
+                with open(path, "rb") as stream:
+                    stream.seek(start)
+                    data = stream.read(-1 if end is None else end - start)
+            except OSError:
+                continue
+            records.extend(parse_events(data.decode("utf-8", "replace"))[0])
+        return records
 
-    def snapshot(self) -> dict:
-        """This process's closed spans + metrics, picklable for the
-        parent's :meth:`merge_worker`."""
-        snap = self.metrics.snapshot()
-        snap["pid"] = os.getpid()
-        snap["spans"] = list(self.tracer.spans)
-        return snap
-
-    def merge_worker(self, snap: dict) -> None:
-        """Fold a worker snapshot into this session.
-
-        Must be called in a deterministic order (the runner merges in
-        call order, which ``pool.map`` guarantees): span ids are
-        rebased past this tracer's counter, worker-top-level spans are
-        adopted under the currently open span, and each worker pid gets
-        a stable rendering lane by first appearance.
-        """
-        if not self.enabled or not snap:
-            return
-        pid = snap.get("pid")
-        track = self._tracks.get(pid)
-        if track is None:
-            track = self._tracks[pid] = len(self._tracks) + 1
-        base = self.tracer.next_id
-        current = self.tracer.current
-        adopt_parent = current["id"] if current is not None else None
-        rebased = []
-        top = base
-        for span in snap.get("spans", ()):
-            span = dict(span)
-            span["id"] += base
-            top = max(top, span["id"])
-            span["parent"] = (span["parent"] + base
-                              if span["parent"] is not None
-                              else adopt_parent)
-            span["track"] = track
-            rebased.append(span)
-        if rebased:
-            self.tracer.next_id = top + 1
-            self.tracer.adopt(rebased)
-        self.metrics.merge(snap.get("counters"), snap.get("gauges"),
-                           snap.get("timers"), snap.get("histograms"))
-
-    # -- export ---------------------------------------------------------------
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """This recording's counters, gauges, timers and histograms."""
+        return fold_records(self.records())[1]
 
     def trace_document(self) -> dict:
-        """The session as a Chrome trace-event JSON document.
+        """The recording as a Chrome trace-event JSON document.
 
         ``ts``/``dur`` are microseconds relative to :meth:`enable`, so
         the trace starts near zero in Perfetto.  The metrics snapshot
@@ -243,10 +353,9 @@ class ObsSession:
         ``repro obs summary`` report cache and throughput figures from
         the trace file alone.
         """
-        origin = self.origin
-        spans = sorted(self.tracer.spans,
-                       key=lambda s: (s["start"], s["id"]))
-        lanes = sorted({span["track"] for span in spans} | {0})
+        spans, metrics = fold_records(self.records(), self.origin,
+                                      os.getpid())
+        lanes = sorted({span["tid"] for span in spans} | {0})
         events = [{"name": "process_name", "ph": "M", "pid": 1, "tid": 0,
                    "args": {"name": "repro harness"}}]
         for lane in lanes:
@@ -254,19 +363,8 @@ class ObsSession:
                 "name": "thread_name", "ph": "M", "pid": 1, "tid": lane,
                 "args": {"name": "main" if lane == 0
                          else f"worker-{lane}"}})
-        for span in spans:
-            events.append({
-                "name": span["name"],
-                "cat": span["cat"],
-                "ph": "X",
-                "ts": round((span["start"] - origin) * 1e6, 3),
-                "dur": round((span["end"] - span["start"]) * 1e6, 3),
-                "pid": 1,
-                "tid": span["track"],
-                "args": dict(span["args"], id=span["id"],
-                             parent=span["parent"]),
-            })
-        snap = self.metrics.snapshot()
+        events.extend(spans)
+        snap = metrics.snapshot()
         return {
             "traceEvents": events,
             "displayTimeUnit": "ms",

@@ -28,7 +28,6 @@ class FakeController:
         self.telemetry = self.sim.telemetry
         self.responses: list = []
         self.successor_updates: list = []
-        self.traces: list = []
 
     # -- service interface -------------------------------------------------
 
@@ -48,10 +47,6 @@ class FakeController:
 
     def send_successor_update(self, msg) -> None:
         self.successor_updates.append(msg)
-
-    def trace(self, kind: str, detail: str = "") -> None:
-        """Tracing hook: recorded for assertions, never rendered."""
-        self.traces.append((kind, detail))
 
     # -- test conveniences ----------------------------------------------------
 

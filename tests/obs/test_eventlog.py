@@ -161,6 +161,16 @@ def test_validate_bool_and_count_fields_are_per_event():
         validate_events(bad)
 
 
+@pytest.mark.parametrize("record", [
+    _record(0, event="cache_evict", count=-3),
+    _record(0, event="campaign_finished", status="complete", points=-1,
+            paid=0),
+])
+def test_validate_rejects_negative_counts(record):
+    with pytest.raises(SchemaError, match="must be an int >= 0"):
+        validate_events([record])
+
+
 def test_validate_rejects_negative_wall_ms():
     record = _record(0, event="point_finished", spec_hash="a",
                      cache_hit=False, paid=True, wall_ms=-1.0)

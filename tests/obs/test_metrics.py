@@ -1,4 +1,4 @@
-"""MetricsRegistry: counters, gauges, timers, cross-process merge."""
+"""MetricsRegistry: counters, gauges, timers, histograms."""
 
 from repro.obs import MetricsRegistry
 
@@ -27,45 +27,6 @@ def test_timers_track_count_total_min_max():
     assert abs(timer["total_s"] - 0.7) < 1e-9
     assert timer["min_s"] == 0.1
     assert timer["max_s"] == 0.4
-
-
-def test_merge_is_additive_for_counters_and_timers():
-    ours = MetricsRegistry()
-    ours.inc("cache.hit", 2)
-    ours.observe("span.point", 0.3)
-    theirs = MetricsRegistry()
-    theirs.inc("cache.hit")
-    theirs.inc("pool.build")
-    theirs.observe("span.point", 0.1)
-    theirs.observe("span.phase", 0.2)
-    theirs.gauge("budget", 5)
-    ours.merge(**{key: theirs.snapshot()[key]
-                  for key in ("counters", "gauges", "timers")})
-    assert ours.counters == {"cache.hit": 3, "pool.build": 1}
-    assert ours.gauges == {"budget": 5}
-    assert ours.timers["span.point"]["count"] == 2
-    assert ours.timers["span.point"]["min_s"] == 0.1
-    assert ours.timers["span.point"]["max_s"] == 0.3
-    assert ours.timers["span.phase"]["count"] == 1
-
-
-def test_merge_order_does_not_change_totals():
-    parts = []
-    for index in range(3):
-        part = MetricsRegistry()
-        part.inc("n", index + 1)
-        part.observe("t", 0.1 * (index + 1))
-        parts.append(part.snapshot())
-    forward = MetricsRegistry()
-    backward = MetricsRegistry()
-    for snap in parts:
-        forward.merge(snap["counters"], snap["gauges"], snap["timers"])
-    for snap in reversed(parts):
-        backward.merge(snap["counters"], snap["gauges"], snap["timers"])
-    assert forward.counters == backward.counters
-    assert forward.timers["t"]["count"] == backward.timers["t"]["count"]
-    assert abs(forward.timers["t"]["total_s"]
-               - backward.timers["t"]["total_s"]) < 1e-9
 
 
 def test_snapshot_is_detached():
@@ -147,18 +108,10 @@ def test_histogram_merge_is_additive():
     assert ours.quantile(0.99) >= 0.4
 
 
-def test_registry_histo_snapshot_and_merge():
+def test_registry_histo_snapshot():
     metrics = MetricsRegistry()
     metrics.histo("span.point", 0.002)
     metrics.histo("span.point", 0.004)
     snap = metrics.snapshot()
     assert snap["histograms"]["span.point"]["count"] == 2
-    other = MetricsRegistry()
-    other.histo("span.point", 0.008)
-    other.histo("span.phase", 0.001)
-    metrics.merge(other.snapshot()["counters"],
-                  other.snapshot()["gauges"],
-                  other.snapshot()["timers"],
-                  other.snapshot()["histograms"])
-    assert metrics.histograms["span.point"].count == 3
-    assert metrics.histograms["span.phase"].count == 1
+    assert metrics.histograms["span.point"].count == 2

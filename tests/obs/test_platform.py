@@ -148,11 +148,45 @@ def test_counters_sidecar_survives_clear_and_prune(tmp_path):
 
 
 def test_disabled_session_records_nothing():
-    # The default state: buffers (possibly holding a previous enabled
-    # session's data) must not grow while the session is off.
+    # The default state: the records (possibly holding a previous
+    # enabled session's data) must not grow while the session is off.
     assert not OBS.enabled
-    spans_before = len(OBS.tracer.spans)
+    spans_before = len(OBS.trace_document()["traceEvents"])
     counters_before = dict(OBS.metrics.counters)
     run_scenarios([smoke_spec("histogram", bins=2)])
-    assert len(OBS.tracer.spans) == spans_before
+    assert len(OBS.trace_document()["traceEvents"]) == spans_before
     assert OBS.metrics.counters == counters_before
+
+
+def test_pooled_worker_spans_parent_under_the_span_open_at_pool_time():
+    # Two successive pools inside two different open spans: the second
+    # pool's workers may reuse the first pool's pids, so span ids must
+    # stay unique per writer session and each worker's top-level
+    # ``point`` span must hang under the span open when its pool ran.
+    specs = [smoke_spec("histogram", bins=bins) for bins in (1, 2, 4)]
+    OBS.enable()
+    try:
+        with OBS.span("first", cat="schedule"):
+            run_scenarios(specs, jobs=2)
+        with OBS.span("second", cat="schedule"):
+            run_scenarios(specs, jobs=2)
+        document = OBS.trace_document()
+    finally:
+        OBS.disable()
+    spans = check_partition(document)
+    ids = [span["args"]["id"] for span in spans]
+    assert len(ids) == len(set(ids))
+    outer = {span["name"]: span["args"]["id"] for span in spans
+             if span["cat"] == "schedule"}
+    by_id = {span["args"]["id"]: span for span in spans}
+    points = [span for span in spans if span["cat"] == "point"]
+    assert len(points) == 2 * len(specs)
+    for point in points:
+        assert point["tid"] != 0
+        parent = by_id[point["args"]["parent"]]
+        assert parent["cat"] == "schedule"
+        # The pool ran while its parent span was open.
+        assert parent["ts"] - _EPS <= point["ts"]
+    assert sorted(by_id[point["args"]["parent"]]["name"]
+                  for point in points) == ["first"] * 3 + ["second"] * 3
+    assert set(outer) == {"first", "second"}

@@ -62,6 +62,10 @@ def _valid_document():
      "orphaned span"),
     (lambda d: d["traceEvents"][-1]["args"].update(
         id=d["traceEvents"][-2]["args"]["id"]), "duplicate span id"),
+    (lambda d: d["traceEvents"][-1]["args"].update(
+        parent=d["traceEvents"][-1]["args"]["id"]), "its own ancestor"),
+    (lambda d: d["traceEvents"][-3]["args"].update(
+        parent=d["traceEvents"][-2]["args"]["id"]), "parent cycle"),
     (lambda d: d["otherData"].update(counters={"n": 1.5}),
      "must be an int"),
     (lambda d: d["otherData"]["timers"]["span.point"].pop("total_s"),
