@@ -280,6 +280,23 @@ repro sweep histogram --cores 8 --set updates_per_core=2 \
 repro cache stats --json --cache-dir .ci-status-cache \
   | python -c "import json,sys; json.load(sys.stdin)"
 
+step "a cold then a warm campaign look each point up once"
+# Lifetime misses and hits each equal the budget; a second lookup per
+# fresh point would double the misses.
+budget=4
+for run in cold warm; do
+  repro explore histogram --smoke --axis bins=1,2,4,8 \
+    --objective min:cycles --sampler grid --budget "$budget" \
+    --cache-dir .ci-lookup-cache
+done
+repro cache stats --json --cache-dir .ci-lookup-cache | python -c "
+import json, sys
+lifetime = json.load(sys.stdin)['lifetime']
+assert lifetime['misses'] == $budget, lifetime
+assert lifetime['hits'] == $budget, lifetime
+print('one lookup per point:', lifetime)
+"
+
 step "live-monitoring walkthrough example"
 python "$ROOT/examples/monitor_campaign.py"
 

@@ -807,10 +807,10 @@ def cmd_cache(args) -> str:
         # Persist the eviction count so future 'stats' runs see it.
         cache.flush_counters()
     stats = cache.stats()
+    lifetime = cache.lifetime_stats()
+    looked = lifetime["hits"] + lifetime["misses"]
     if args.as_json:
         import json as json_module
-        lifetime = cache.lifetime_stats()
-        looked = lifetime["hits"] + lifetime["misses"]
         document = {
             "path": stats["path"],
             "entries": stats["entries"],
@@ -826,8 +826,6 @@ def cmd_cache(args) -> str:
             ("bytes", stats["bytes"])]
     if removed is not None:
         rows.append(("evicted (LRU)", removed))
-    lifetime = cache.lifetime_stats()
-    looked = lifetime["hits"] + lifetime["misses"]
     rows.extend([
         ("lifetime hits", lifetime["hits"]),
         ("lifetime misses", lifetime["misses"]),

@@ -2,9 +2,9 @@
 
 A :class:`Campaign` drives one sampler over one
 :class:`~repro.dse.space.SearchSpace`, evaluating proposals through the
-standard scenario machinery (:func:`~repro.scenarios.run.run_scenarios`
-with the shared worker pool and :class:`~repro.eval.runner.ResultCache`)
-and journaling every evaluation as it lands.
+standard scenario machinery (the :class:`~repro.eval.runner.ResultCache`
+lookup and :func:`~repro.scenarios.run.simulate`'s worker pool) and
+journaling every evaluation as it lands.
 
 The contract that makes campaigns practical:
 
@@ -39,10 +39,11 @@ from ..obs import OBS
 from ..scenarios.registry import get_workload
 from ..scenarios.run import (
     METRICS,
+    MISS,
     apply_settings,
     run_scenario,
-    run_scenarios,
     scenario_cache_key,
+    simulate,
 )
 from ..scenarios.spec import ScenarioSpec
 from .journal import (
@@ -54,10 +55,6 @@ from .journal import (
 from .objectives import _BASE_SCALARS, pareto_front
 from .samplers import Sampler, create_sampler
 from .space import SearchSpace
-
-#: Private cache-miss sentinel (permits cached ``None`` results).
-_MISS = object()
-
 
 @dataclass
 class Evaluation:
@@ -167,10 +164,11 @@ class Campaign:
     or a ready :class:`~repro.dse.samplers.Sampler` instance.  When
     ``journal_file`` is set the journal is rewritten atomically after
     every batch; ``resume`` (a loaded journal dict) replays its records
-    before anything simulates.  ``cache``/``jobs`` flow to
-    :func:`run_scenarios` unchanged — except for telemetry objectives,
-    which force probed, serial, cache-less evaluation.  ``batch`` is
-    accepted for compatibility and has no effect.
+    before anything simulates.  ``cache``/``jobs`` flow to the cache
+    lookup and :func:`~repro.scenarios.run.simulate` unchanged — except
+    for telemetry objectives, which force probed, serial, cache-less
+    evaluation.  ``batch`` is accepted for compatibility and has no
+    effect.
     """
 
     def __init__(self, base: ScenarioSpec, space: SearchSpace, sampler,
@@ -401,8 +399,8 @@ class Campaign:
             hit = None
             if self.cache is not None and not self.probes:
                 hit = self.cache.lookup_hash(scenario_cache_key(spec),
-                                             _MISS)
-                cached = hit is not _MISS
+                                             MISS)
+                cached = hit is not MISS
             batch_hashes.add(spec_hash)
             if not cached:
                 if paid + 1 > self.budget:
@@ -472,15 +470,16 @@ class Campaign:
         return paid, truncated
 
     def _simulate(self, specs: list) -> list:
-        """Fresh simulations, sharded — or probed and serial when the
-        objectives read telemetry (probe data is per-execution and
-        never cached, so those runs stay in-process)."""
+        """Fresh simulations of the specs the batch found missing,
+        sharded and stored — or probed and serial when the objectives
+        read telemetry (probe data is per-execution and never cached,
+        so those runs stay in-process)."""
         if not specs:
             return []
         if self.probes:
             return [run_scenario(spec, probes=list(self.probes))
                     for spec in specs]
-        return run_scenarios(specs, jobs=self.jobs, cache=self.cache)
+        return simulate(specs, jobs=self.jobs, cache=self.cache)
 
     # -- journal --------------------------------------------------------------
 
@@ -516,7 +515,7 @@ class Campaign:
                             points=len(evaluations), paid=paid)
         if self.cache is not None:
             # A batch served entirely from the cache never reaches
-            # run_scenarios' flush; settle the sidecar totals here.
+            # simulate's flush; settle the sidecar totals here.
             self.cache.flush_counters()
         return journal
 

@@ -23,14 +23,7 @@ from .harness import (
     sweep_bins,
 )
 from .reporting import render_series, render_table
-from .runner import (
-    ExperimentCall,
-    ResultCache,
-    jobs_argument,
-    resolve_jobs,
-    run_experiments,
-    run_grid,
-)
+from .runner import ResultCache, jobs_argument, resolve_jobs
 from .table1 import Table1Result, run_table1, scaling_table
 from .table2 import Table2Result, run_table2, table2_specs
 
@@ -62,12 +55,9 @@ __all__ = [
     "table2_specs",
     "render_series",
     "render_table",
-    "ExperimentCall",
     "ResultCache",
     "jobs_argument",
     "resolve_jobs",
-    "run_experiments",
-    "run_grid",
     "Table1Result",
     "run_table1",
     "scaling_table",

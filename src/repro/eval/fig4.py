@@ -73,8 +73,8 @@ def run_fig4(num_cores: int = 64, bins_list=None, updates_per_core: int = 8,
     """Regenerate Fig. 4 at the given scale.
 
     ``jobs``/``cache`` shard and memoize the sweep's independent points
-    (see :mod:`repro.eval.runner`); results are identical for any
-    ``jobs`` value.
+    (see :func:`repro.scenarios.run.run_scenarios`); results are
+    identical for any ``jobs`` value.
     """
     if bins_list is None:
         max_banks = (num_cores // 4) * 16

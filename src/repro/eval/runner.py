@@ -1,44 +1,30 @@
-"""Parallel experiment execution with deterministic ordering and caching.
+"""The on-disk result cache and the ``--jobs`` helpers.
 
-Every figure and table of the paper is a sweep over *independent*
-simulator configurations (series × contention level × scale), and every
-simulation is a pure, deterministic function of its arguments.  That
-makes sweeps embarrassingly parallel — and their points perfectly
-cacheable.  This module provides both:
+Every figure and table of the paper is a sweep over independent,
+deterministic simulator points, so every point is perfectly cacheable.
+:class:`ResultCache` memoizes finished points on disk, keyed by a hash
+the caller computes (the scenario layer uses
+:func:`~repro.scenarios.run.scenario_cache_key`) folded with a
+fingerprint of the ``repro`` sources (:func:`source_fingerprint`).
+Re-running a figure after editing one variant only re-simulates the
+points whose configuration actually changed; the rest come back as
+cache hits.
 
-* :func:`run_experiments` shards a list of :class:`ExperimentCall`\\ s
-  across a ``multiprocessing`` pool.  Results always come back in call
-  order, so a sweep produces byte-identical output whether it ran with
-  ``jobs=1`` in-process or ``jobs=N`` across workers — the test suite
-  asserts exactly this.
-* :class:`ResultCache` memoizes finished points on disk, keyed by a
-  SHA-256 hash over the called function and a canonical rendering of
-  its arguments.  Re-running a figure after editing one variant only
-  re-simulates the points whose configuration actually changed; the
-  rest come back as cache hits.
-
-The experiment functions themselves (``run_histogram_point``,
-``run_interference``, ``run_queue_point``) stay plain callables — they
-know nothing about pooling or caching, so they remain directly usable
-and testable.
+Points run through :func:`~repro.scenarios.run.run_scenarios`, the one
+path that looks them up, shards the misses across a worker pool and
+stores the results; :func:`resolve_jobs` and :func:`jobs_argument`
+define its ``--jobs`` contract.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
-import multiprocessing
 import os
 import pickle
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 from ..obs import OBS
-
-#: Bump when the cached result format changes incompatibly (e.g. a
-#: measured dataclass gains fields); invalidates every existing entry.
-CACHE_VERSION = 1
 
 #: Sidecar file (inside the cache directory) accumulating lifetime
 #: hit/miss/store/evict totals across processes; see
@@ -49,65 +35,6 @@ COUNTERS_NAME = "counters.json"
 COUNTERS_VERSION = 1
 
 _COUNTER_KEYS = ("hits", "misses", "stores", "evictions", "write_errors")
-
-#: Sentinel distinguishing "not cached" from a cached ``None``.
-_MISS = object()
-
-
-@dataclass(frozen=True)
-class ExperimentCall:
-    """One experiment point: a pure function plus its configuration.
-
-    ``fn`` must be an importable module-level callable (the worker
-    processes re-import it by qualified name via pickle) and its
-    arguments must be picklable, which every experiment config in
-    :mod:`repro.eval` is.
-    """
-
-    fn: Callable
-    args: tuple = ()
-    kwargs: dict = field(default_factory=dict)
-
-    def invoke(self):
-        """Run the point in the current process."""
-        return self.fn(*self.args, **self.kwargs)
-
-    def config_key(self) -> str:
-        """SHA-256 hash of the function identity and canonical arguments.
-
-        Two calls share a key iff they name the same function with the
-        same configuration, so a cache keyed by this hash is invalidated
-        exactly by config changes (and by :data:`CACHE_VERSION` bumps).
-        """
-        parts = [f"v{CACHE_VERSION}",
-                 f"{self.fn.__module__}.{self.fn.__qualname__}"]
-        parts.extend(_canonical(a) for a in self.args)
-        parts.extend(f"{k}={_canonical(v)}"
-                     for k, v in sorted(self.kwargs.items()))
-        blob = "\x1f".join(parts)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _canonical(value) -> str:
-    """Deterministic text rendering of a configuration value.
-
-    Dataclass reprs are field-ordered and nested dataclasses recurse,
-    so config objects (``SeriesSpec``, ``VariantSpec``,
-    ``SystemConfig``...) canonicalize for free; containers recurse
-    explicitly so a dict's iteration order cannot leak into the key.
-    """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return repr(value)
-    if isinstance(value, dict):
-        inner = ",".join(f"{_canonical(k)}:{_canonical(v)}"
-                         for k, v in sorted(value.items(), key=repr))
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        inner = ",".join(_canonical(item) for item in value)
-        return ("[" if isinstance(value, list) else "(") + inner + \
-            ("]" if isinstance(value, list) else ")")
-    return repr(value)
-
 
 def source_fingerprint() -> str:
     """Hash of every ``repro`` source file (content, not mtime).
@@ -136,9 +63,9 @@ class ResultCache:
     """Disk-backed memo of finished experiment points.
 
     One pickle file per key, fronted by an in-process dict.  The key
-    combines :meth:`ExperimentCall.config_key` with a fingerprint of
-    the ``repro`` sources (see :func:`source_fingerprint`), so both
-    config edits and code edits invalidate exactly what they touch.
+    combines a caller-computed config hash with a fingerprint of the
+    ``repro`` sources (see :func:`source_fingerprint`), so both config
+    edits and code edits invalidate exactly what they touch.
     ``hits``/``misses``/``stores``/``write_errors`` are exposed for
     tests and for ``--jobs`` progress reporting.
 
@@ -180,9 +107,6 @@ class ResultCache:
         #: :meth:`flush_counters` writes deltas and stays idempotent.
         self._flushed = {key: 0 for key in _COUNTER_KEYS}
 
-    def _key(self, call: ExperimentCall) -> str:
-        return self._key_for(call.config_key())
-
     def _key_for(self, config_hash: str) -> str:
         blob = f"{self.fingerprint}\x1f{config_hash}"
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -190,19 +114,11 @@ class ResultCache:
     def _file(self, key: str) -> str:
         return os.path.join(self.path, key + ".pkl")
 
-    def lookup(self, call: ExperimentCall):
-        """Cached result for ``call``, or the module-private miss sentinel."""
-        return self.lookup_hash(call.config_key(), _MISS)
-
     def lookup_hash(self, config_hash: str, default=None):
         """Cached result under a caller-computed config hash.
 
-        The scenario layer keys entries by
-        :meth:`~repro.scenarios.spec.ScenarioSpec.stable_hash` instead
-        of an :class:`ExperimentCall`; both paths share the fingerprint
-        folding and the hit/miss accounting.  Returns ``default`` on a
-        miss (callers pass their own sentinel to permit cached
-        ``None``\\ s).
+        Returns ``default`` on a miss (callers pass a sentinel to
+        permit cached ``None``\\ s).
         """
         key = self._key_for(config_hash)
         if key in self._memory:
@@ -238,17 +154,13 @@ class ResultCache:
         except OSError:
             pass
 
-    def store(self, call: ExperimentCall, result) -> None:
-        """Persist one finished point.
+    def store_hash(self, config_hash: str, result) -> None:
+        """Persist one finished point under a caller-computed hash.
 
         A failing disk write (full volume, revoked permissions...)
         degrades to cache-less operation instead of discarding the
         already-computed simulation results with an exception.
         """
-        self.store_hash(call.config_key(), result)
-
-    def store_hash(self, config_hash: str, result) -> None:
-        """Persist one finished point under a caller-computed hash."""
         key = self._key_for(config_hash)
         self._memory[key] = result
         tmp = self._file(key) + ".tmp"
@@ -321,8 +233,8 @@ class ResultCache:
         """Merge this process's unflushed hit/miss/store/evict deltas
         into the ``counters.json`` sidecar (read-modify-atomic-write).
 
-        Called by the runner layers after every sweep/campaign batch,
-        so ``repro cache stats`` reports *lifetime* rates across all
+        Called after every batch of fresh points and at the end of
+        every sweep and campaign, so ``repro cache stats`` reports *lifetime* rates across all
         the processes that ever used the directory.  Idempotent: each
         delta is written exactly once.  Best-effort like the cache
         itself — an unwritable sidecar degrades to in-process counts.
@@ -397,41 +309,6 @@ class ResultCache:
         self._disk_count = 0
 
 
-def _pool_worker_init(events_file: str, heartbeat_interval, enabled: bool,
-                      parent_span) -> None:
-    """Pool initializer when the parent has an event log open.
-
-    Each worker opens its own appender on the parent's log (the
-    control plane's ``events.jsonl`` or an enabled session's private
-    log; the parent's handle inherited through fork would reuse its
-    seq counter), starts its own heartbeat file when the parent has
-    one, and announces itself.  Its top-level spans hang under
-    ``parent_span``, the span open in the parent when the pool
-    started.  The farewell is a :class:`multiprocessing.util.Finalize`
-    hook — pool workers exit through ``os._exit``, which skips
-    ``atexit`` but does run multiprocessing's registered finalizers —
-    so a normal ``Pool.close()``/``join()`` (see
-    :func:`run_experiments`) emits ``worker_exited`` and removes the
-    heartbeat file, while only an abnormal death skips it: exactly the
-    case heartbeats exist to expose.
-    """
-    from multiprocessing.util import Finalize
-    OBS.enter_worker(enabled, parent_span)
-    OBS.open_events(events_file, role="worker",
-                    heartbeat=heartbeat_interval is not None,
-                    heartbeat_interval=heartbeat_interval)
-    OBS.events.emit("worker_spawned", role="worker")
-    Finalize(None, _pool_worker_exit, exitpriority=100)
-
-
-def _pool_worker_exit() -> None:
-    monitor = OBS.heartbeat
-    if OBS.events is not None:
-        OBS.events.emit("worker_exited",
-                        points=monitor.points if monitor else 0)
-    OBS.close_events()
-
-
 def resolve_jobs(jobs: Optional[int]) -> int:
     """Normalize a ``--jobs`` value: ``None``/``0`` means all cores."""
     if not jobs:
@@ -457,87 +334,3 @@ def jobs_argument(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be >= 0 (0 = all CPUs), got {jobs}")
     return jobs
-
-
-def run_experiments(calls: Sequence[ExperimentCall], jobs: int = 1,
-                    cache: Optional[ResultCache] = None) -> list:
-    """Run every call and return their results *in call order*.
-
-    ``jobs=1`` runs serially in-process (no pool, no pickling);
-    ``jobs>1`` shards the non-cached calls across a worker pool.
-    Because each call is a pure deterministic function and results are
-    reassembled by call index, the returned list is identical for any
-    ``jobs`` value.  ``jobs=None``/``0`` uses every CPU.
-    """
-    jobs = resolve_jobs(jobs)
-    results: list = [None] * len(calls)
-    pending: list = []          # (index, call) still to simulate
-    if cache is not None:
-        for index, call in enumerate(calls):
-            hit = cache.lookup(call)
-            if hit is _MISS:
-                pending.append((index, call))
-            else:
-                results[index] = hit
-    else:
-        pending = list(enumerate(calls))
-
-    if not pending:
-        if cache is not None:
-            cache.flush_counters()
-        return results
-    if jobs == 1 or len(pending) == 1:
-        computed = [call.invoke() for _index, call in pending]
-    else:
-        workers = min(jobs, len(pending))
-        events = OBS.events
-        initializer = initargs = None
-        if events is not None:
-            monitor = OBS.heartbeat
-            initializer = _pool_worker_init
-            initargs = (events.path,
-                        monitor.interval if monitor is not None else None,
-                        OBS.enabled, OBS.current)
-        with multiprocessing.Pool(processes=workers,
-                                  initializer=initializer,
-                                  initargs=initargs or ()) as pool:
-            computed = pool.map(ExperimentCall.invoke,
-                                [call for _index, call in pending],
-                                chunksize=1)
-            if events is not None:
-                # The ``with`` block terminates workers outright; a
-                # close/join first lets their atexit farewells (the
-                # worker_exited event, heartbeat removal) run.
-                pool.close()
-                pool.join()
-    for (index, call), result in zip(pending, computed):
-        results[index] = result
-        if cache is not None:
-            cache.store(call, result)
-    if cache is not None:
-        cache.flush_counters()
-    return results
-
-
-def run_grid(rows: Sequence[tuple], columns: Sequence,
-             make_call: Callable, jobs: int = 1,
-             cache: Optional[ResultCache] = None) -> dict:
-    """Run a labelled sweep grid; returns ``{label: [result/column]}``.
-
-    ``rows`` is ``[(label, row_spec), ...]`` and ``make_call(row_spec,
-    column)`` builds the :class:`ExperimentCall` for one point.  All
-    figure sweeps are such grids (series × contention, ratio × bins,
-    method × cores); pairing results to labels here — instead of
-    hand-slicing a flat result list at every call site — keeps the
-    bookkeeping structural rather than positional.
-    """
-    rows = list(rows)
-    columns = list(columns)
-    calls = [make_call(spec, column)
-             for _label, spec in rows for column in columns]
-    results = run_experiments(calls, jobs=jobs, cache=cache)
-    grid: dict = {}
-    for index, (label, _spec) in enumerate(rows):
-        start = index * len(columns)
-        grid[label] = results[start:start + len(columns)]
-    return grid

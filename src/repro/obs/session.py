@@ -3,8 +3,8 @@
 All instrumentation in the harness talks to one module-level
 :data:`OBS` session, for the same reason the simulator's telemetry hub
 is process-global: threading an observer handle through
-``run_experiments`` → ``run_scenarios`` → ``execute`` would change
-every signature between the CLI and the innermost phase.  The cost
+``run_scenarios`` → ``simulate`` → ``execute`` would change every
+signature between the CLI and the innermost phase.  The cost
 discipline matches PR 3's simulator hooks — disabled (the default),
 every site is one attribute load plus a branch, bench-guarded by
 ``benchmarks/bench_obs.py``::
@@ -26,7 +26,7 @@ deletes at the next :meth:`~ObsSession.enable` or when it goes away.
 Enabled, the session adds ``span_begin``/``span_end``/``counter``/
 ``gauge`` records (:mod:`repro.obs.eventlog`); pool workers append to
 the same file, their top-level spans parented by the coordinator span
-open when the pool started (``runner._pool_worker_init``).
+open when the pool started (``scenarios.run._pool_worker_init``).
 :meth:`~ObsSession.trace_document` and :attr:`~ObsSession.metrics` fold
 the records back (:func:`fold_records`), so counter totals and the
 span tree are the same for any ``--jobs`` value.  Every closed span

@@ -5,11 +5,12 @@ The spec layer's verbs:
 * :func:`build_machine` — the :class:`~repro.machine.Machine` a spec
   describes (shape + variant + seed), with no kernels loaded;
 * :func:`run_scenario` — one spec to one :class:`ScenarioResult`;
-* :func:`run_scenarios` — many independent specs, sharded across a
-  worker pool exactly like the figure sweeps (deterministic: results
-  are identical for any ``jobs`` value) and memoized in a
+* :func:`run_scenarios` — many independent specs: the one path every
+  batch of points runs through.  Each spec is looked up once in a
   :class:`~repro.eval.runner.ResultCache` keyed by
-  :meth:`~repro.scenarios.spec.ScenarioSpec.stable_hash`;
+  :func:`scenario_cache_key`; :func:`simulate` shards the misses across
+  a worker pool (deterministic: results are identical for any
+  ``jobs`` value) and stores them;
 * :func:`sweep` — the cartesian product of axis overrides applied to a
   base spec (the engine behind ``repro sweep``).
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import multiprocessing
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -30,6 +32,9 @@ from ..obs import OBS
 from ..power.energy import EnergyModel
 from .registry import get_workload
 from .spec import ScenarioSpec
+
+#: Sentinel for "not in the cache" (a cached result may be any object).
+MISS = object()
 
 #: Metric name -> extractor over a finished run's SimStats.  These are
 #: the scalars a spec can ask for by name in ``ScenarioSpec.metrics``.
@@ -78,7 +83,7 @@ class ScenarioResult:
     for composite workloads that run several machines *and on results
     served from a cache* — the per-core/per-bank lists dwarf the
     scalars the runners actually consume, so only ``point``/``metrics``
-    persist (see :func:`run_scenarios`).
+    persist (see :func:`simulate`).
     """
 
     spec: ScenarioSpec
@@ -205,14 +210,95 @@ def _execute_spec(spec: ScenarioSpec) -> ScenarioResult:
 def scenario_cache_key(spec: ScenarioSpec) -> str:
     """The :class:`~repro.eval.runner.ResultCache` hash key of a spec.
 
-    Exposed so schedulers layered on top (the DSE campaign engine) can
-    ask "would this point be a cache hit?" — e.g. to charge zero budget
-    for it — using exactly the key :func:`run_scenarios` will use.
+    :func:`run_scenarios` looks specs up and :func:`simulate` stores
+    them under this key; the DSE campaign engine looks its proposals
+    up with it too, to charge zero budget for cache hits.
     """
     return "scenario\x1f" + spec.stable_hash()
 
 
-_cache_key = scenario_cache_key
+def _pool_worker_init(events_file: str, heartbeat_interval, enabled: bool,
+                      parent_span) -> None:
+    """Pool initializer when the parent has an event log open.
+
+    Each worker opens its own appender on the parent's log (the
+    control plane's ``events.jsonl`` or an enabled session's private
+    log; the parent's handle inherited through fork would reuse its
+    seq counter), starts its own heartbeat file when the parent has
+    one, and announces itself.  Its top-level spans hang under
+    ``parent_span``, the span open in the parent when the pool
+    started.  The farewell is a :class:`multiprocessing.util.Finalize`
+    hook — pool workers exit through ``os._exit``, which skips
+    ``atexit`` but does run multiprocessing's registered finalizers —
+    so a normal ``Pool.close()``/``join()`` (see :func:`simulate`)
+    emits ``worker_exited`` and removes the heartbeat file, while only
+    an abnormal death skips it: exactly the case heartbeats exist to
+    expose.
+    """
+    from multiprocessing.util import Finalize
+    OBS.enter_worker(enabled, parent_span)
+    OBS.open_events(events_file, role="worker",
+                    heartbeat=heartbeat_interval is not None,
+                    heartbeat_interval=heartbeat_interval)
+    OBS.events.emit("worker_spawned", role="worker")
+    Finalize(None, _pool_worker_exit, exitpriority=100)
+
+
+def _pool_worker_exit() -> None:
+    monitor = OBS.heartbeat
+    if OBS.events is not None:
+        OBS.events.emit("worker_exited",
+                        points=monitor.points if monitor else 0)
+    OBS.close_events()
+
+
+def simulate(specs: Sequence[ScenarioSpec], jobs: int = 1,
+             cache=None) -> list:
+    """Simulate validated specs fresh and store each result in ``cache``.
+
+    Results come back aligned with ``specs``.  ``jobs=1`` (or a single
+    spec) runs serially in-process; otherwise the specs are sharded
+    across a ``multiprocessing`` pool and reassembled in order, so the
+    results are identical for any ``jobs``.  ``jobs=None``/``0`` uses
+    every CPU.  Nothing is looked up: callers (:func:`run_scenarios`,
+    the campaign engine) pass only the specs they found missing.
+    Cached entries are stored without ``stats`` and ``telemetry``; the
+    counters are flushed once per call.
+    """
+    from ..eval.runner import resolve_jobs
+    specs = list(specs)
+    if specs:
+        jobs = resolve_jobs(jobs)
+    if jobs == 1 or len(specs) <= 1:
+        results = [_execute_spec(spec) for spec in specs]
+    else:
+        events = OBS.events
+        initializer = initargs = None
+        if events is not None:
+            monitor = OBS.heartbeat
+            initializer = _pool_worker_init
+            initargs = (events.path,
+                        monitor.interval if monitor is not None else None,
+                        OBS.enabled, OBS.current)
+        with multiprocessing.Pool(processes=min(jobs, len(specs)),
+                                  initializer=initializer,
+                                  initargs=initargs or ()) as pool:
+            results = pool.map(_execute_spec, specs, chunksize=1)
+            if events is not None:
+                # The ``with`` block terminates workers outright; a
+                # close/join first lets their farewells (the
+                # worker_exited event, heartbeat removal) run.
+                pool.close()
+                pool.join()
+    if cache is not None:
+        for spec, result in zip(specs, results):
+            # stats and telemetry are the bulky diagnostics; cached
+            # entries keep only the scalars/point a sweep consumes.
+            cache.store_hash(scenario_cache_key(spec),
+                             dataclasses.replace(result, stats=None,
+                                                 telemetry=None))
+        cache.flush_counters()
+    return results
 
 
 def run_scenario(spec: ScenarioSpec, jobs: int = 1,
@@ -253,9 +339,11 @@ def run_scenarios(specs: Sequence[ScenarioSpec], jobs: int = 1,
 
     Results come back aligned with ``specs`` and are identical for any
     ``jobs`` value (each scenario is a pure function of its spec).
-    ``cache`` is a :class:`~repro.eval.runner.ResultCache`; entries are
-    keyed by :meth:`ScenarioSpec.stable_hash` (plus the cache's source
-    fingerprint), so editing a spec re-simulates exactly that point.
+    ``cache`` is a :class:`~repro.eval.runner.ResultCache`; each spec is
+    looked up once under :func:`scenario_cache_key` (its
+    :meth:`ScenarioSpec.stable_hash` plus the cache's source
+    fingerprint), and only the misses go to :func:`simulate`, so
+    editing a spec re-simulates exactly that point.
 
     With ``jobs > 1`` the worker processes re-import the registry, so
     only *importable* workloads resolve there: built-ins always do;
@@ -269,39 +357,17 @@ def run_scenarios(specs: Sequence[ScenarioSpec], jobs: int = 1,
     counters); every other field of a cache-served result is identical
     to the freshly-simulated one.
     """
-    from ..eval.runner import ExperimentCall, run_experiments
     specs = list(specs)
     for spec in specs:
         spec.validate()
-    miss = object()
-    results: list = [None] * len(specs)
-    pending = []
-    if cache is not None:
-        for index, spec in enumerate(specs):
-            hit = cache.lookup_hash(_cache_key(spec), miss)
-            if hit is miss:
-                pending.append((index, spec))
-            else:
-                results[index] = hit
-    else:
-        pending = list(enumerate(specs))
-    if not pending:
-        if cache is not None:
-            cache.flush_counters()
-        return results
-    calls = [ExperimentCall(_execute_spec, (spec,))
-             for _index, spec in pending]
-    computed = run_experiments(calls, jobs=jobs)
-    for (index, spec), result in zip(pending, computed):
+    results = [MISS if cache is None
+               else cache.lookup_hash(scenario_cache_key(spec), MISS)
+               for spec in specs]
+    pending = [index for index, hit in enumerate(results) if hit is MISS]
+    computed = simulate([specs[index] for index in pending], jobs=jobs,
+                        cache=cache)
+    for index, result in zip(pending, computed):
         results[index] = result
-        if cache is not None:
-            # stats and telemetry are the bulky diagnostics; cached
-            # entries keep only the scalars/point a sweep consumes.
-            cache.store_hash(_cache_key(spec),
-                             dataclasses.replace(result, stats=None,
-                                                 telemetry=None))
-    if cache is not None:
-        cache.flush_counters()
     return results
 
 
@@ -311,9 +377,8 @@ def run_spec_grid(rows: Sequence[tuple], columns: Sequence,
     """Run a labelled grid of specs; returns ``{label: [result/column]}``.
 
     ``rows`` is ``[(label, row_spec), ...]`` and ``make_spec(row_spec,
-    column)`` builds the :class:`ScenarioSpec` for one point — the
-    spec-level analogue of :func:`repro.eval.runner.run_grid`, shared
-    by the figure sweeps so the label/column bookkeeping lives once.
+    column)`` builds the :class:`ScenarioSpec` for one point; the
+    figure sweeps share it so the label/column bookkeeping lives once.
     """
     rows = list(rows)
     columns = list(columns)

@@ -50,13 +50,13 @@ def strip_wall(journal):
 def count_simulations(monkeypatch):
     """Count the specs that reach fresh simulation."""
     simulated = []
-    original = campaign_module.run_scenarios
+    original = campaign_module.simulate
 
-    def counting(specs, jobs=1, cache=None, batch=False):
+    def counting(specs, jobs=1, cache=None):
         simulated.extend(specs)
-        return original(specs, jobs=jobs, cache=cache, batch=batch)
+        return original(specs, jobs=jobs, cache=cache)
 
-    monkeypatch.setattr(campaign_module, "run_scenarios", counting)
+    monkeypatch.setattr(campaign_module, "simulate", counting)
     return simulated
 
 
@@ -128,6 +128,21 @@ def test_cache_hits_cost_zero_budget(tmp_path, count_simulations):
     assert [e.cached for e in second.evaluations] == \
         [True, True, False, False]
     assert len(count_simulations) == 4
+
+
+def test_each_fresh_point_is_looked_up_once(tmp_path, capsys):
+    from repro.cli import main
+    points = SPACE.grid_size()
+    cold = ResultCache(str(tmp_path), fingerprint="t")
+    make_campaign(cache=cold).run()
+    assert (cold.misses, cold.stores) == (points, points)
+    assert cold.lifetime_stats()["misses"] == points
+    warm = ResultCache(str(tmp_path), fingerprint="t")
+    make_campaign(cache=warm).run()
+    assert (warm.hits, warm.misses) == (points, 0)
+    capsys.readouterr()
+    assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+    assert "50.0%" in capsys.readouterr().out
 
 
 def test_repeat_proposals_within_a_campaign_are_free(count_simulations):

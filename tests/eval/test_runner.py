@@ -1,52 +1,64 @@
-"""Tests for the parallel experiment runner and its result cache.
+"""Tests for the one point runner and its result cache.
 
 The contract under test: sharding a sweep across workers changes *how*
 points are computed, never *what* comes back — results are ordered,
 deterministic, and byte-identical to a serial run — and the cache is
-keyed by configuration, so edits invalidate exactly the points they
-touch.
+keyed by each spec's ``stable_hash``, so edits invalidate exactly the
+points they touch.
 """
 
+import dataclasses
+import os
 import pickle
 
 import pytest
 
+import repro.scenarios.run as run_module
 from repro.eval.fig3 import run_fig3
-from repro.eval.harness import SeriesSpec, run_histogram_point, sweep_bins
-from repro.eval.runner import (
-    ExperimentCall,
-    ResultCache,
-    resolve_jobs,
-    run_experiments,
+from repro.eval.harness import SeriesSpec, histogram_spec, sweep_bins
+from repro.eval.runner import ResultCache, resolve_jobs
+from repro.scenarios.run import (
+    default_spec,
+    run_scenarios,
+    scenario_cache_key,
 )
 
 #: A tiny but real experiment configuration (fast enough for CI).
 SPEC = SeriesSpec("Atomic Add", "amo", "amo")
 
 
-def _call(num_bins=2, updates=3, seed=0):
-    return ExperimentCall(run_histogram_point, (SPEC, 8, num_bins, updates),
-                          {"seed": seed})
+def _spec(num_bins=2, updates=3, seed=0):
+    return histogram_spec(SPEC, 8, num_bins, updates, seed=seed)
+
+
+def _cached(results):
+    """Results as a cache serves them: without the bulky ``stats``."""
+    return [dataclasses.replace(result, stats=None) for result in results]
+
+
+def _assert_identical(fresh, served):
+    """Value equality plus per-point pickle identity (whole-result
+    pickles differ only in memo structure once a result went through
+    disk or a process boundary, never in content)."""
+    assert _cached(fresh) == served
+    for ours, theirs in zip(fresh, served):
+        assert pickle.dumps(ours.point) == pickle.dumps(theirs.point)
 
 
 # -- ordering and determinism -------------------------------------------------
 
 def test_results_come_back_in_call_order():
-    calls = [_call(num_bins=b) for b in (4, 1, 2)]
-    results = run_experiments(calls, jobs=1)
-    assert [p.num_bins for p in results] == [4, 1, 2]
+    specs = [_spec(num_bins=b) for b in (4, 1, 2)]
+    results = run_scenarios(specs, jobs=1)
+    assert [r.point.num_bins for r in results] == [4, 1, 2]
 
 
 def test_parallel_results_identical_to_serial():
-    calls = [_call(num_bins=b) for b in (1, 2, 4)]
-    serial = run_experiments(calls, jobs=1)
-    parallel = run_experiments(calls, jobs=3)
-    # Dataclass value equality, plus per-point pickle identity (the
-    # whole-list pickles differ only in memo structure when results
-    # cross a process boundary, never in content).
+    specs = [_spec(num_bins=b) for b in (1, 2, 4)]
+    serial = run_scenarios(specs, jobs=1)
+    parallel = run_scenarios(specs, jobs=3)
     assert serial == parallel
-    for ours, theirs in zip(serial, parallel):
-        assert pickle.dumps(ours) == pickle.dumps(theirs)
+    _assert_identical(serial, _cached(parallel))
 
 
 def test_sweep_bins_identical_for_any_jobs():
@@ -74,65 +86,69 @@ def test_resolve_jobs_semantics():
 
 # -- caching ------------------------------------------------------------------
 
+def test_cache_entry_name_is_pinned(tmp_path):
+    """The on-disk key layout: sha256(fingerprint, "scenario", hash)."""
+    cache = ResultCache(str(tmp_path), fingerprint="t")
+    spec = default_spec("histogram", num_cores=8).with_params(
+        bins=2, updates_per_core=2)
+    assert spec.stable_hash().startswith("9381a252")
+    run_scenarios([spec], cache=cache)
+    assert sorted(name for name in os.listdir(tmp_path)
+                  if name.endswith(".pkl")) == [
+        "1c7bf46e4316e6b6bf66368a06c2ef209bae73a0"
+        "c47e03a8346187a677c562cb.pkl"]
+
+
 def test_cache_hit_skips_recomputation(tmp_path, monkeypatch):
     cache = ResultCache(str(tmp_path))
-    calls = [_call(num_bins=1), _call(num_bins=2)]
-    first = run_experiments(calls, jobs=1, cache=cache)
+    specs = [_spec(num_bins=1), _spec(num_bins=2)]
+    first = run_scenarios(specs, jobs=1, cache=cache)
     assert (cache.misses, cache.stores) == (2, 2)
 
-    # Re-running must not simulate at all: poison the experiment fn.
+    # Re-running must not simulate at all: poison the point executor.
     def boom(*_args, **_kwargs):
         raise AssertionError("cache miss: point was re-simulated")
 
-    monkeypatch.setattr(ExperimentCall, "invoke", boom)
-    second = run_experiments(calls, jobs=1, cache=cache)
+    monkeypatch.setattr(run_module, "_execute_spec", boom)
+    second = run_scenarios(specs, jobs=1, cache=cache)
     assert cache.hits == 2
-    assert pickle.dumps(first) == pickle.dumps(second)
+    _assert_identical(first, second)
 
 
 def test_cache_survives_process_boundary(tmp_path):
     """A fresh ResultCache over the same directory reuses disk entries."""
-    first = run_experiments([_call()], jobs=1, cache=ResultCache(str(tmp_path)))
+    first = run_scenarios([_spec()], jobs=1,
+                          cache=ResultCache(str(tmp_path)))
     reopened = ResultCache(str(tmp_path))
-    second = run_experiments([_call()], jobs=1, cache=reopened)
+    second = run_scenarios([_spec()], jobs=1, cache=reopened)
     assert reopened.hits == 1 and reopened.misses == 0
-    assert pickle.dumps(first) == pickle.dumps(second)
+    _assert_identical(first, second)
 
 
 def test_config_change_invalidates_only_changed_points(tmp_path):
     cache = ResultCache(str(tmp_path))
-    run_experiments([_call(num_bins=1), _call(num_bins=2)], jobs=1,
-                    cache=cache)
+    run_scenarios([_spec(num_bins=1), _spec(num_bins=2)], jobs=1,
+                  cache=cache)
     # One point's config changes (different seed); the other must hit.
     cache2 = ResultCache(str(tmp_path))
-    run_experiments([_call(num_bins=1), _call(num_bins=2, seed=9)], jobs=1,
-                    cache=cache2)
+    run_scenarios([_spec(num_bins=1), _spec(num_bins=2, seed=9)], jobs=1,
+                  cache=cache2)
     assert cache2.hits == 1
     assert cache2.misses == 1
-
-
-def test_config_key_is_stable_and_discriminating():
-    assert _call().config_key() == _call().config_key()
-    assert _call().config_key() != _call(num_bins=4).config_key()
-    assert _call().config_key() != _call(seed=1).config_key()
-    other_series = ExperimentCall(
-        run_histogram_point,
-        (SeriesSpec("LRSC", "lrsc", "lrsc"), 8, 2, 3), {"seed": 0})
-    assert _call().config_key() != other_series.config_key()
 
 
 def test_source_edit_invalidates_cache(tmp_path):
     """Cached numbers must not survive simulator-code changes."""
     cache = ResultCache(str(tmp_path))
-    run_experiments([_call()], jobs=1, cache=cache)
+    run_scenarios([_spec()], jobs=1, cache=cache)
     # Same directory, different source fingerprint (as after an edit).
     edited = ResultCache(str(tmp_path), fingerprint="deadbeef")
-    run_experiments([_call()], jobs=1, cache=edited)
+    run_scenarios([_spec()], jobs=1, cache=edited)
     assert (edited.hits, edited.misses) == (0, 1)
     # Unchanged sources still hit.
     same = ResultCache(str(tmp_path))
     assert same.fingerprint == cache.fingerprint
-    run_experiments([_call()], jobs=1, cache=same)
+    run_scenarios([_spec()], jobs=1, cache=same)
     assert same.hits == 1
 
 
@@ -145,7 +161,7 @@ def test_cache_write_failure_degrades_gracefully(tmp_path, monkeypatch):
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(runner_module.os, "replace", disk_full)
-    results = run_experiments([_call()], jobs=1, cache=cache)
+    results = run_scenarios([_spec()], jobs=1, cache=cache)
     assert results[0].throughput > 0
     assert cache.write_errors == 1 and cache.stores == 0
 
@@ -171,19 +187,18 @@ def test_unloadable_entry_is_a_counted_miss(tmp_path, payload):
 
 
 @pytest.mark.parametrize("payload", sorted(UNLOADABLE))
-def test_unloadable_entry_is_recomputed_by_experiment_calls(tmp_path,
-                                                           payload):
-    """The ExperimentCall ``lookup`` path shares the miss handling."""
+def test_unloadable_entry_is_recomputed_by_run_scenarios(tmp_path, payload):
     cache = ResultCache(str(tmp_path))
-    call = _call()
-    with open(cache._file(cache._key(call)), "wb") as handle:
+    spec = _spec()
+    key = cache._key_for(scenario_cache_key(spec))
+    with open(cache._file(key), "wb") as handle:
         handle.write(UNLOADABLE[payload])
-    results = run_experiments([call], jobs=1, cache=cache)
+    results = run_scenarios([spec], jobs=1, cache=cache)
     assert results[0].throughput > 0
     assert (cache.hits, cache.misses, cache.stores) == (0, 1, 1)
     # The recomputed result replaced the unloadable entry.
     reopened = ResultCache(str(tmp_path))
-    run_experiments([call], jobs=1, cache=reopened)
+    run_scenarios([spec], jobs=1, cache=reopened)
     assert (reopened.hits, reopened.misses) == (1, 0)
 
 
@@ -191,32 +206,39 @@ def test_interrupt_while_loading_an_entry_propagates(tmp_path,
                                                      monkeypatch):
     import repro.eval.runner as runner_module
     cache = ResultCache(str(tmp_path))
-    run_experiments([_call()], jobs=1, cache=cache)
+    run_scenarios([_spec()], jobs=1, cache=cache)
 
     def interrupted(_handle):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(runner_module.pickle, "load", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        ResultCache(str(tmp_path)).lookup(_call())
+        run_scenarios([_spec()], jobs=1, cache=ResultCache(str(tmp_path)))
 
 
 def test_cache_clear_drops_entries(tmp_path):
     cache = ResultCache(str(tmp_path))
-    run_experiments([_call()], jobs=1, cache=cache)
+    run_scenarios([_spec()], jobs=1, cache=cache)
     cache.clear()
-    run_experiments([_call()], jobs=1, cache=cache)
+    run_scenarios([_spec()], jobs=1, cache=cache)
     assert cache.misses == 2
 
 
 def test_parallel_run_populates_cache(tmp_path):
     cache = ResultCache(str(tmp_path))
-    calls = [_call(num_bins=b) for b in (1, 2)]
-    run_experiments(calls, jobs=2, cache=cache)
+    specs = [_spec(num_bins=b) for b in (1, 2)]
+    run_scenarios(specs, jobs=2, cache=cache)
     assert cache.stores == 2
     rerun = ResultCache(str(tmp_path))
-    run_experiments(calls, jobs=2, cache=rerun)
+    run_scenarios(specs, jobs=2, cache=rerun)
     assert rerun.hits == 2
+    # Cached and pooled fresh points reassemble in spec order, exactly
+    # as a serial run returns them.
+    mixed_specs = [_spec(num_bins=b) for b in (4, 1, 8, 2)]
+    mixed = run_scenarios(mixed_specs, jobs=2, cache=rerun)
+    assert (rerun.hits, rerun.misses, rerun.stores) == (4, 2, 2)
+    assert [r.point.num_bins for r in mixed] == [4, 1, 8, 2]
+    assert _cached(mixed) == _cached(run_scenarios(mixed_specs, jobs=1))
 
 
 # -- size management (LRU pruning) --------------------------------------------

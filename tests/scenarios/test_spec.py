@@ -77,8 +77,12 @@ def test_stable_hash_is_param_order_independent():
 
 def test_stable_hash_changes_with_content():
     base = sample_spec()
+    assert base.stable_hash() == sample_spec().stable_hash()
     assert base.stable_hash() != base.with_params(bins=5).stable_hash()
     assert base.stable_hash() != base.override(seed=8).stable_hash()
+    assert base.stable_hash() != base.override(variant="lrsc").stable_hash()
+    assert base.stable_hash() != \
+        base.with_params(method="amo", label="Atomic Add").stable_hash()
 
 
 def test_stable_hash_is_stable_across_processes():
