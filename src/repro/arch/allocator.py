@@ -38,6 +38,8 @@ class Allocator:
         self._low_word = 0
         #: Per-bank high watermark for pinned allocation (exclusive).
         self._high_row = [config.words_per_bank] * config.num_banks
+        #: ``min(self._high_row)``, kept as the watermarks only fall.
+        self._min_high_row = config.words_per_bank
 
     # -- interleaved allocation ------------------------------------------------
 
@@ -86,6 +88,8 @@ class Allocator:
         if top < 0:
             raise MemoryError_(f"bank {bank_id} exhausted")
         self._high_row[bank_id] = top
+        if top < self._min_high_row:
+            self._min_high_row = top
         self._check_collision()
         return self.address_map.address_of(bank_id, top)
 
@@ -99,10 +103,10 @@ class Allocator:
 
     def _check_collision(self) -> None:
         low = self._low_row + (1 if self._low_word else 0)
-        if low > min(self._high_row):
+        if low > self._min_high_row:
             raise MemoryError_(
                 "SPM exhausted: interleaved and pinned regions collided "
-                f"(low row {low}, high row {min(self._high_row)})")
+                f"(low row {low}, high row {self._min_high_row})")
 
     @property
     def words_free(self) -> int:

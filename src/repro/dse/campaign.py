@@ -361,7 +361,7 @@ class Campaign:
 
     def _schedule_batch(self, batch, batch_index: int, replay: list,
                         evaluations: list, seen: dict, paid: int):
-        planned = []                 # (combo, spec, source, payload)
+        planned = []    # (combo, spec, spec_hash, source, payload)
         fresh_specs = []
         batch_hashes = set()         # planned earlier in *this* batch
         truncated = False
@@ -385,7 +385,7 @@ class Campaign:
                     break
                 paid += cost
                 batch_hashes.add(spec_hash)
-                planned.append((combo, spec, "replay", record))
+                planned.append((combo, spec, spec_hash, "replay", record))
                 continue
             if spec_hash in seen or spec_hash in batch_hashes:
                 # Already evaluated this campaign — or earlier in this
@@ -393,13 +393,13 @@ class Campaign:
                 # to be) and the repeat costs nothing.  The payload is
                 # resolved from ``seen`` at record-build time, after
                 # the first occurrence has landed there.
-                planned.append((combo, spec, "repeat", None))
+                planned.append((combo, spec, spec_hash, "repeat", None))
                 continue
             cached = False
             hit = None
             if self.cache is not None and not self.probes:
-                hit = self.cache.lookup_hash(scenario_cache_key(spec),
-                                             MISS)
+                hit = self.cache.lookup_hash(
+                    scenario_cache_key(spec, spec_hash), MISS)
                 cached = hit is not MISS
             batch_hashes.add(spec_hash)
             if not cached:
@@ -408,9 +408,9 @@ class Campaign:
                     break
                 paid += 1
                 fresh_specs.append(spec)
-                planned.append((combo, spec, "fresh", None))
+                planned.append((combo, spec, spec_hash, "fresh", None))
             else:
-                planned.append((combo, spec, "cache", hit))
+                planned.append((combo, spec, spec_hash, "cache", hit))
         events = OBS.events
         if events is not None:
             events.emit("batch_scheduled", batch=batch_index,
@@ -426,7 +426,7 @@ class Campaign:
         # simulate time amortizes evenly across its fresh points.
         fresh_wall = round(sim_ms / len(computed), 3) if computed else 0.0
         fresh_iter = iter(computed)
-        for combo, spec, source, payload in planned:
+        for combo, spec, spec_hash, source, payload in planned:
             index = len(evaluations)
             if source == "replay":
                 evaluation = Evaluation.from_record(payload)
@@ -436,7 +436,7 @@ class Campaign:
                 # The repeat itself simulates nothing and hits no
                 # cache, whatever its first occurrence did.
                 evaluation = dataclasses.replace(
-                    seen[spec.stable_hash()], index=index,
+                    seen[spec_hash], index=index,
                     batch=batch_index, rung=batch.rung,
                     fidelity=batch.fidelity, overrides=dict(combo),
                     cached=True, wall_ms=0.0, cache_hit=False)
@@ -449,7 +449,7 @@ class Campaign:
                 evaluation = Evaluation(
                     index=index, batch=batch_index, rung=batch.rung,
                     fidelity=batch.fidelity, overrides=dict(combo),
-                    spec=spec.to_dict(), spec_hash=spec.stable_hash(),
+                    spec=spec.to_dict(), spec_hash=spec_hash,
                     cached=(source == "cache"),
                     objectives=values,
                     scalars=_json_scalars(result.scalars()),

@@ -69,6 +69,24 @@ class ThrottledPort:
         return self._cycle
 
 
+class _BankHandlers(dict):
+    """``bank_id -> handler``; a miss asks :attr:`build` for the bank.
+
+    ``build(bank_id)`` must register the bank's handler (a
+    :class:`~repro.memory.controller.BankController` does so on
+    construction), so every later delivery to that bank is a plain dict
+    hit with no Python-level call.
+    """
+
+    build = None
+
+    def __missing__(self, bank_id):
+        if self.build is None:
+            raise KeyError(bank_id)
+        self.build(bank_id)
+        return dict.__getitem__(self, bank_id)
+
+
 class Network:
     """Latency-accurate message delivery between cores and banks."""
 
@@ -96,7 +114,7 @@ class Network:
             for _ in range(config.num_tiles)
         ]
         #: bank_id -> callable(MemRequest | WakeUpRequest)
-        self._bank_handlers: dict = {}
+        self._bank_handlers = _BankHandlers()
         #: core_id -> callable(MemResponse)
         self._core_handlers: dict = {}
         #: core_id -> callable(SuccessorUpdate)  (the Qnode input port)
@@ -108,6 +126,11 @@ class Network:
                       handler: Callable[[object], None]) -> None:
         """Attach the request-input handler of a bank controller."""
         self._bank_handlers[bank_id] = handler
+
+    def build_banks_with(self, build: Callable[[int], None]) -> None:
+        """Build unregistered banks on first delivery: ``build(bank_id)``
+        is called once per bank and must :meth:`register_bank` it."""
+        self._bank_handlers.build = build
 
     def register_core(self, core_id: int,
                       handler: Callable[[MemResponse], None]) -> None:

@@ -3,7 +3,8 @@
 :class:`Machine` instantiates and wires a complete MemPool-like
 platform: the event kernel, the hierarchical network, one
 :class:`~repro.memory.controller.BankController` per SPM bank (with the
-configured atomic variant), and one :class:`~repro.cores.core.Core` (+
+configured atomic variant), built the first time that bank is reached
+(see :class:`BankArray`), and one :class:`~repro.cores.core.Core` (+
 Qnode) per hart.  It is the main entry point of the library::
 
     from repro import Machine, SystemConfig, VariantSpec
@@ -36,7 +37,7 @@ from .cores.core import Core
 from .engine.simulator import Simulator
 from .engine.stats import BankStats, CoreStats, NetworkStats, SimStats
 from .interconnect.network import Network
-from .memory.controller import BankController
+from .memory.controller import BankController, adapter_factory
 from .memory.variants import VariantSpec
 from .telemetry.hub import Telemetry
 from .telemetry.probes import create_probe
@@ -44,6 +45,52 @@ from .telemetry.trace import Tracer
 
 #: Type of a kernel factory: gets the core's API, returns the coroutine.
 KernelFactory = Callable[[CoreApi], Generator]
+
+
+class BankArray:
+    """A machine's bank controllers, each built on first touch.
+
+    A read-only sequence of :attr:`SystemConfig.num_banks
+    <repro.arch.config.SystemConfig.num_banks>` controllers
+    (``len``, indexing with negative indices, iteration).  A
+    controller is built the first time it is indexed — by the network
+    delivering to its bank, by ``peek``/``poke`` or by any caller — so
+    a point that touches three of 1,024 banks builds three.  Iterating
+    builds every controller.
+    """
+
+    __slots__ = ("_build", "_built", "_count")
+
+    def __init__(self, count: int,
+                 build: Callable[[int], BankController]) -> None:
+        self._count = count
+        self._build = build
+        self._built: dict = {}
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, bank_id: int) -> BankController:
+        controller = self._built.get(bank_id)
+        if controller is not None:
+            return controller
+        index = bank_id + self._count if bank_id < 0 else bank_id
+        if not 0 <= index < self._count:
+            raise IndexError(f"bank {bank_id} out of range "
+                             f"({self._count} banks)")
+        controller = self._built.get(index)
+        if controller is None:
+            controller = self._built[index] = self._build(index)
+        return controller
+
+    def __iter__(self):
+        for bank_id in range(self._count):
+            yield self[bank_id]
+
+    @property
+    def built(self) -> list:
+        """Ids of the banks whose controllers exist, ascending."""
+        return sorted(self._built)
 
 
 class Machine:
@@ -82,12 +129,17 @@ class Machine:
             network=NetworkStats(),
             variant=variant)
         self.network = Network(self.sim, self.topology, self.stats.network)
-        self.banks = [
-            BankController(bank_id, self.sim, self.network, self.address_map,
-                           variant, config.num_cores,
-                           self.stats.banks[bank_id], strict=strict)
-            for bank_id in range(config.num_banks)
-        ]
+        make_adapter = adapter_factory(variant, config.num_cores, strict)
+
+        def build_bank(bank_id: int) -> BankController:
+            return BankController(bank_id, self.sim, self.network,
+                                  self.address_map, self.stats.banks[bank_id],
+                                  make_adapter)
+
+        #: The bank controllers (:class:`BankArray`), built on first
+        #: touch; ``stats.banks`` always lists every bank.
+        self.banks = BankArray(config.num_banks, build_bank)
+        self.network.build_banks_with(self.banks.__getitem__)
         self.cores = [
             Core(core_id, self.sim, self.network, self.address_map,
                  self.stats.cores[core_id])
@@ -218,9 +270,15 @@ class Machine:
         kernels loop endlessly and only the workers' completion matters.
         """
         watched = [self.cores[i] for i in core_ids]
+        # ``finished`` never reverts, so the cores before the cursor
+        # stay finished and each check resumes where the last stopped.
+        cursor = 0
 
         def done() -> bool:
-            return all(core.finished for core in watched)
+            nonlocal cursor
+            while cursor < len(watched) and watched[cursor].finished:
+                cursor += 1
+            return cursor == len(watched)
 
         return self.run(until=done)
 

@@ -8,7 +8,7 @@ this package registers the paper's six built-ins plus the
 from .adapter import AmoAdapter, AtomicAdapter
 from .bank import SpmBank
 from .colibri import ColibriAdapter
-from .controller import BankController, build_adapter
+from .controller import BankController, adapter_factory
 from .lrsc import LrscAdapter
 from .lrsc_variants import LrscBankAdapter, LrscTableAdapter
 from .lrscwait import LrscWaitAdapter
@@ -35,7 +35,7 @@ __all__ = [
     "SpmBank",
     "ColibriAdapter",
     "BankController",
-    "build_adapter",
+    "adapter_factory",
     "LrscAdapter",
     "LrscBankAdapter",
     "LrscTableAdapter",

@@ -37,6 +37,13 @@ class AtomicAdapter:
     Adapters need no reset: every machine builds its adapters fresh, so
     a plug-in keeps its mutable state in plain attributes set up in
     ``__init__``.
+
+    A machine builds a bank's adapter the first time the bank is
+    reached, which may be mid-run.  ``__init__`` must therefore only
+    set up state: it must not schedule events, draw from an RNG or
+    raise for parameters :meth:`AtomicVariant.resolve
+    <repro.memory.variants.AtomicVariant.resolve>` accepted (those are
+    checked when the machine is built).
     """
 
     #: Ops this adapter accepts beyond LW/SW/AMO; subclasses extend.

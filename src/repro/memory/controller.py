@@ -14,6 +14,7 @@ byte addresses, ``respond`` and Colibri's ``send_successor_update``.
 from __future__ import annotations
 
 from heapq import heappush
+from typing import Callable
 
 from ..arch.address_map import AddressMap
 from ..engine.events import PRIORITY_NORMAL
@@ -32,23 +33,39 @@ from .bank import SpmBank
 from .variants import VariantSpec, get_variant
 
 
-def build_adapter(controller: "BankController", variant: VariantSpec,
-                  num_cores: int, strict: bool) -> AtomicAdapter:
-    """Instantiate the adapter for a :class:`VariantSpec` through the
-    variant registry: symbolic parameters (``half``/``cores``/``ideal``)
-    resolve against ``num_cores`` here, at machine-build time."""
+def adapter_factory(variant: VariantSpec, num_cores: int,
+                    strict: bool) -> Callable[["BankController"],
+                                              AtomicAdapter]:
+    """The per-bank adapter constructor of a :class:`VariantSpec`.
+
+    The variant is looked up in the registry and its symbolic
+    parameters (``half``/``cores``/``ideal``) resolve against
+    ``num_cores`` here, once per machine, so a bad parameter raises
+    :class:`~repro.engine.errors.ConfigError` at build time.  The
+    returned callable builds one bank's adapter from the resolved
+    parameters, which every bank shares.
+    """
     plugin = get_variant(variant.kind)
-    return plugin.make_adapter(controller, variant.resolved(num_cores),
-                               num_cores, strict)
+    params = variant.resolved(num_cores)
+
+    def make_adapter(controller: "BankController") -> AtomicAdapter:
+        return plugin.make_adapter(controller, params, num_cores, strict)
+
+    return make_adapter
 
 
 class BankController:
-    """One SPM bank, its port scheduler, and its atomic adapter."""
+    """One SPM bank, its port scheduler, and its atomic adapter.
+
+    A :class:`~repro.machine.Machine` builds a controller the first
+    time its bank is reached, possibly mid-run, so construction only
+    sets up state and registers the bank with the network.
+    """
 
     def __init__(self, bank_id: int, sim: Simulator, network: Network,
-                 address_map: AddressMap, variant: VariantSpec,
-                 num_cores: int, stats: BankStats,
-                 strict: bool = True) -> None:
+                 address_map: AddressMap, stats: BankStats,
+                 make_adapter: Callable[["BankController"],
+                                        AtomicAdapter]) -> None:
         self.bank_id = bank_id
         self.sim = sim
         self.network = network
@@ -66,7 +83,7 @@ class BankController:
         self._word_bytes = address_map.word_bytes
         self._num_banks = address_map.num_banks
         self._memory_bytes = address_map.memory_bytes
-        self.adapter = build_adapter(self, variant, num_cores, strict)
+        self.adapter = make_adapter(self)
         self.service_cycles = address_map.config.latency.bank_cycles
         #: First cycle at which the port can accept the next request.
         self._port_free_at = 0

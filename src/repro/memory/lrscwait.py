@@ -56,6 +56,9 @@ class LrscWaitAdapter(AtomicAdapter):
         self.queue_slots = queue_slots
         self.strict = strict
         self._queues: dict = {}  # addr -> deque[_Waiter]
+        #: ``(core_id, addr)`` of every queued waiter (strict mode's
+        #: duplicate check), kept in step with the queues.
+        self._waiting: set = set()
         self._occupancy = 0
 
     # -- protocol ---------------------------------------------------------------
@@ -72,11 +75,14 @@ class LrscWaitAdapter(AtomicAdapter):
         if self.queue_slots is not None and self._occupancy >= self.queue_slots:
             self.ctrl.respond(req, value=0, status=Status.QUEUE_FULL)
             return
+        if self.strict:
+            key = (req.core_id, req.addr)
+            if key in self._waiting:
+                raise ProtocolViolation(
+                    f"core {req.core_id} has two outstanding wait ops on "
+                    f"0x{req.addr:x} (violates §III-b single-LRwait rule)")
+            self._waiting.add(key)
         queue = self._queues.setdefault(req.addr, deque())
-        if self.strict and any(w.req.core_id == req.core_id for w in queue):
-            raise ProtocolViolation(
-                f"core {req.core_id} has two outstanding wait ops on "
-                f"0x{req.addr:x} (violates §III-b single-LRwait rule)")
         queue.append(_Waiter(req))
         self._occupancy += 1
         cb = self.ctrl.telemetry.on_queue_depth
@@ -141,7 +147,7 @@ class LrscWaitAdapter(AtomicAdapter):
 
     def _pop(self, addr: int) -> None:
         queue = self._queues[addr]
-        queue.popleft()
+        self._waiting.discard((queue.popleft().req.core_id, addr))
         self._occupancy -= 1
         cb = self.ctrl.telemetry.on_queue_depth
         if cb is not None:

@@ -12,7 +12,8 @@ to know about one piece of reservation hardware:
   bounds, and symbolic values like ``"half"``/``"cores"`` that resolve
   against the machine's core count at build time;
 * an **adapter factory** (:meth:`AtomicVariant.make_adapter`) building
-  the per-bank :class:`~repro.memory.adapter.AtomicAdapter`;
+  the per-bank :class:`~repro.memory.adapter.AtomicAdapter`, on the
+  bank's first touch;
 * **capability flags** (``supports_lrsc``/``supports_wait``/
   ``native_method``) that tell workloads which RMW flavour the hardware
   is built for;
@@ -118,7 +119,15 @@ class AtomicVariant:
 
     def make_adapter(self, controller, params: dict, num_cores: int,
                      strict: bool):
-        """Build the per-bank adapter for resolved ``params``."""
+        """Build the per-bank adapter for resolved ``params``.
+
+        Called once per bank, the first time the machine reaches that
+        bank, possibly mid-run, with one ``params`` dict shared by all
+        banks (do not mutate it).  Reject bad parameters in the schema
+        or :meth:`resolve`, which run when the machine is built; the
+        adapter's ``__init__`` must not schedule events, draw from an
+        RNG or raise for parameters ``resolve`` accepted.
+        """
         raise NotImplementedError(
             f"variant {self.name!r} does not implement make_adapter()")
 

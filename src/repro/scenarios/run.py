@@ -24,7 +24,7 @@ import dataclasses
 import itertools
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..engine.errors import ConfigError
 from ..machine import Machine
@@ -207,14 +207,16 @@ def _execute_spec(spec: ScenarioSpec) -> ScenarioResult:
     return result
 
 
-def scenario_cache_key(spec: ScenarioSpec) -> str:
+def scenario_cache_key(spec: ScenarioSpec,
+                       spec_hash: Optional[str] = None) -> str:
     """The :class:`~repro.eval.runner.ResultCache` hash key of a spec.
 
     :func:`run_scenarios` looks specs up and :func:`simulate` stores
     them under this key; the DSE campaign engine looks its proposals
-    up with it too, to charge zero budget for cache hits.
+    up with it too, to charge zero budget for cache hits, passing the
+    ``spec.stable_hash()`` it already computed as ``spec_hash``.
     """
-    return "scenario\x1f" + spec.stable_hash()
+    return "scenario\x1f" + (spec_hash or spec.stable_hash())
 
 
 def _pool_worker_init(events_file: str, heartbeat_interval, enabled: bool,

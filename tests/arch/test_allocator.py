@@ -61,12 +61,36 @@ def test_bank_exhaustion_raises(alloc):
         alloc.alloc_in_bank(0, 1)
 
 
-def test_region_collision_detected(alloc):
+# 16 cores: 64 banks of 256 words.  Each case: allocations in order,
+# the index of the one that collides, and the row pair it reports.
+_COLLISIONS = [
     # Fill nearly everything interleaved, then pin into the remainder.
-    total = alloc.config.memory_words
-    alloc.alloc_interleaved(total - alloc.config.num_banks)
-    with pytest.raises(MemoryError_):
-        alloc.alloc_in_bank(0, 2)
+    ([("alloc_interleaved", 16384 - 64), ("alloc_in_bank", 0, 2)],
+     1, (255, 254)),
+    # Pinned rows in several banks (bank 3 lowest), then interleaved
+    # growth up to them.
+    ([("alloc_in_bank", 3, 5), ("alloc_in_bank", 17, 2),
+      ("alloc_in_bank", 3, 1), ("alloc_interleaved", 64 * 249),
+      ("alloc_interleaved", 1), ("alloc_interleaved", 64)],
+     5, (251, 250)),
+    # Interleaved first; the deeper of two pinned banks collides.
+    ([("alloc_interleaved", 64 * 252 + 5), ("alloc_in_bank", 9, 3),
+      ("alloc_in_bank", 40, 4), ("alloc_in_bank", 9, 1)],
+     2, (253, 252)),
+]
+
+
+def test_region_collision_detected(alloc):
+    for steps, failing, rows in _COLLISIONS:
+        fresh = Allocator(alloc.config)
+        for method, *args in steps[:failing]:
+            getattr(fresh, method)(*args)
+        method, *args = steps[failing]
+        message = ("SPM exhausted: interleaved and pinned regions "
+                   "collided (low row {}, high row {})".format(*rows))
+        with pytest.raises(MemoryError_) as excinfo:
+            getattr(fresh, method)(*args)
+        assert str(excinfo.value) == message
 
 
 def test_zero_size_rejected(alloc):

@@ -4,6 +4,7 @@ import pytest
 
 from repro import Machine, SystemConfig, VariantSpec
 from repro.engine.errors import ConfigError
+from repro.scenarios import build_machine, default_spec, get_workload
 
 from ..conftest import (
     increment_kernel_amo, increment_kernel_wait, make_machine)
@@ -16,6 +17,31 @@ def test_construction_wires_all_components():
     assert len(machine.apis) == 16
     assert machine.stats.cores[3].core_id == 3
     assert machine.stats.banks[5].bank_id == 5
+    # Controllers are built on first touch; stats cover every bank.
+    assert machine.banks.built == []
+    assert [bank.bank_id for bank in machine.stats.banks] == list(range(64))
+    assert machine.banks[-1] is machine.banks[63]
+    assert machine.banks[-64].bank_id == 0
+    for bad in (64, -65):
+        with pytest.raises(IndexError):
+            machine.banks[bad]
+    assert machine.banks.built == [0, 63]
+    assert [bank.bank_id for bank in machine.banks] == list(range(64))
+    assert machine.banks.built == list(range(64))
+
+
+def test_only_touched_banks_are_built():
+    spec = default_spec("histogram", num_cores=64,
+                        variant="lrscwait:ideal").with_params(bins=1)
+    machine = build_machine(spec)
+    loaded = get_workload("histogram").load(machine, spec)
+    stats = machine.run()
+    loaded.verify()
+    # One bin lives in bank 0: the other 255 controllers never exist.
+    assert machine.banks.built == [0]
+    assert len(stats.banks) == machine.config.num_banks == 256
+    assert stats.banks[0].accesses > 0
+    assert sum(bank.accesses for bank in stats.banks[1:]) == 0
 
 
 def test_invalid_config_rejected_at_construction():
@@ -78,6 +104,26 @@ def test_run_until_finished_stops_pollers():
     assert machine.cores[0].finished
     assert not machine.cores[1].finished
     assert machine.peek(flag) == 1
+
+    # Watched cores finishing out of order: the run stops at the event
+    # that finishes the last of them (cycle and count recorded before
+    # the stop check became incremental).
+    machine = make_machine(4, VariantSpec.amo())
+    counter = machine.allocator.alloc_interleaved(1)
+
+    def delayed(cycles):
+        def kernel(api):
+            yield from api.compute(cycles)
+            yield from api.amo_add(counter, 1)
+        return kernel
+
+    for core_id, cycles in ((0, 300), (1, 40), (2, 170)):
+        machine.load(core_id, delayed(cycles))
+    machine.load(3, endless)     # late-bound: polls the new counter
+    stats = machine.run_until_finished([0, 1, 2])
+    assert [machine.cores[i].finish_cycle for i in range(3)] == [303, 43, 173]
+    assert stats.cycles == machine.sim.now == 303
+    assert machine.peek(counter) == 103
 
 
 def test_makespan_uses_last_finisher():

@@ -107,6 +107,38 @@ def test_double_lrwait_same_core_raises():
         adapter.handle(request(Op.LRWAIT, core=0, addr=0))
 
 
+def test_double_wait_from_mid_queue_core_raises():
+    ctrl, adapter = make()
+    for core in range(3):
+        adapter.handle(request(Op.LRWAIT, core=core, addr=0))
+    with pytest.raises(ProtocolViolation, match="core 1 has two outstanding"
+                       " wait ops on 0x0"):
+        adapter.handle(request(Op.MWAIT, core=1, addr=0, expected=0))
+    # The same core may wait on another address meanwhile.
+    adapter.handle(request(Op.LRWAIT, core=1, addr=4))
+    assert adapter.queue_depth(0) == 3 and adapter.queue_depth(4) == 1
+
+
+def test_popped_core_may_wait_again():
+    ctrl, adapter = make()
+    adapter.handle(request(Op.LRWAIT, core=0, addr=0))
+    adapter.handle(request(Op.LRWAIT, core=1, addr=0))
+    adapter.handle(request(Op.SCWAIT, core=0, addr=0, value=1))
+    adapter.handle(request(Op.LRWAIT, core=0, addr=0))   # no stale entry
+    adapter.handle(request(Op.SCWAIT, core=1, addr=0, value=2))
+    adapter.handle(request(Op.SCWAIT, core=0, addr=0, value=3))
+    adapter.handle(request(Op.LRWAIT, core=1, addr=0))
+    assert ctrl.read(0) == 3
+    assert adapter.pending_waiters() == 1
+
+
+def test_permissive_mode_admits_duplicate_waiters():
+    ctrl, adapter = make(strict=False)
+    adapter.handle(request(Op.LRWAIT, core=0, addr=0))
+    adapter.handle(request(Op.LRWAIT, core=0, addr=0))
+    assert adapter.queue_depth(0) == 2
+
+
 def test_plain_lr_rejected():
     ctrl, adapter = make()
     with pytest.raises(ProtocolViolation):

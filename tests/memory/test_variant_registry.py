@@ -100,9 +100,9 @@ def test_registered_variant_parses_and_builds(toy_variant):
     assert variant.get("knob") == 5
     assert variant_string(variant) == "toy:5"
     assert variant.supports_lrsc and variant.native_method == "lrsc"
-    from repro.memory.controller import build_adapter
-    adapter = build_adapter(FakeController(), variant, num_cores=16,
-                            strict=True)
+    from repro.memory.controller import adapter_factory
+    adapter = adapter_factory(variant, num_cores=16,
+                              strict=True)(FakeController())
     assert isinstance(adapter, _ToyAdapter) and adapter.knob == 5
 
 
@@ -110,10 +110,32 @@ def test_symbolic_values_resolve_at_build_time(toy_variant):
     variant = VariantSpec(kind="toy", knob="cores")
     assert variant.get("knob") == "cores"    # stored symbolically
     assert variant.resolved(num_cores=16) == {"knob": 16}
-    from repro.memory.controller import build_adapter
-    adapter = build_adapter(FakeController(), variant, num_cores=64,
-                            strict=True)
+    from repro.memory.controller import adapter_factory
+    adapter = adapter_factory(variant, num_cores=64,
+                              strict=True)(FakeController())
     assert adapter.knob == 64
+
+
+def test_unresolvable_parameter_raises_at_machine_build():
+    """Parameters resolve when the machine is built, although each
+    bank's adapter is built only when the bank is first reached."""
+    @register_variant("wide_toy")
+    class WideToy(AtomicVariant):
+        """Needs at least 32 slots; ``half`` gives that from 64 cores."""
+        params = {"knob": VariantParam(default="half", minimum=32,
+                                       symbolic=("half",))}
+
+        def make_adapter(self, controller, params, num_cores, strict):
+            return _ToyAdapter(controller, params["knob"])
+
+    try:
+        with pytest.raises(ConfigError, match=">= 32, got 8"):
+            Machine(SystemConfig.scaled(16), VariantSpec(kind="wide_toy"))
+        machine = Machine(SystemConfig.scaled(64),
+                          VariantSpec(kind="wide_toy"))
+        assert machine.banks[5].adapter.knob == 32
+    finally:
+        unregister_variant("wide_toy")
 
 
 def test_param_schema_validation(toy_variant):

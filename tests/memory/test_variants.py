@@ -5,7 +5,7 @@ import pytest
 from repro.engine.errors import ConfigError
 from repro.memory.adapter import AmoAdapter
 from repro.memory.colibri import ColibriAdapter
-from repro.memory.controller import build_adapter
+from repro.memory.controller import adapter_factory
 from repro.memory.lrsc import LrscAdapter
 from repro.memory.lrsc_variants import LrscBankAdapter, LrscTableAdapter
 from repro.memory.lrscwait import LrscWaitAdapter
@@ -72,18 +72,18 @@ def test_labels():
     (VariantSpec.colibri(2), ColibriAdapter),
 ])
 def test_build_adapter_dispatch(spec, adapter_cls):
-    adapter = build_adapter(FakeController(), spec, num_cores=16,
-                            strict=True)
+    adapter = adapter_factory(spec, num_cores=16,
+                              strict=True)(FakeController())
     assert isinstance(adapter, adapter_cls)
 
 
 def test_ideal_queue_sized_to_core_count():
-    adapter = build_adapter(FakeController(), VariantSpec.lrscwait_ideal(),
-                            num_cores=64, strict=True)
+    adapter = adapter_factory(VariantSpec.lrscwait_ideal(), num_cores=64,
+                              strict=True)(FakeController())
     assert adapter.queue_slots == 64
 
 
 def test_colibri_adapter_gets_address_count():
-    adapter = build_adapter(FakeController(), VariantSpec.colibri(7),
-                            num_cores=16, strict=True)
+    adapter = adapter_factory(VariantSpec.colibri(7), num_cores=16,
+                              strict=True)(FakeController())
     assert adapter.num_addresses == 7
