@@ -16,22 +16,20 @@ one ``span.point`` per spec, or the instrumentation is lying about what
 the harness did.
 
 PR 9 threads a second instrument family through the same sites: the
-campaign event log and worker heartbeats (``OBS.events`` /
+campaign event log and its heartbeat timer (``OBS.events`` /
 ``OBS.heartbeat``).  Same contract, new baseline: with the event-log
 hooks compiled in but off — the default — the campaign must stay
 within noise of the ``PR8-obs-hooks`` floor, so the two
 observability layers cannot silently stack overhead.  The events-on
 bench is correctness-gated like enabled-mode tracing: one
-``point_started`` record per executed spec, a schema-valid log, and no
-heartbeat files left behind after a clean close.
+``point_started`` record per executed spec, a schema-valid log, and
+every writer closed with its farewell heartbeat.
 """
 
 import dataclasses
-import os
 
 from repro.obs import OBS
 from repro.obs.eventlog import events_path, validate_events_file
-from repro.obs.heartbeat import heartbeat_dir
 from repro.scenarios import default_spec
 from repro.scenarios.registry import get_workload
 from repro.scenarios.run import apply_settings, run_scenarios
@@ -136,7 +134,7 @@ def test_obs_events_off_within_obs_hooks_noise(benchmark):
 
 
 def test_obs_events_enabled_campaign_reconciles(benchmark, tmp_path):
-    """Events on: results identical, log reconciles, heartbeats clean."""
+    """Events on: results identical, log reconciles, farewells written."""
     specs = _campaign_specs()
     directory = str(tmp_path / "camp")
     rounds = []
@@ -160,8 +158,14 @@ def test_obs_events_enabled_campaign_reconciles(benchmark, tmp_path):
     # One writer session per round, one point_started per spec.
     assert len(started) == len(rounds) * len(specs), (
         len(started), len(rounds), len(specs))
-    # A clean close stops the heartbeat thread and removes its file.
-    assert os.listdir(heartbeat_dir(directory)) == []
+    # A clean close stops the heartbeat thread and says farewell: one
+    # final beat per round, each the last record of its writer session.
+    farewells = [position for position, record in enumerate(records)
+                 if record.get("final")]
+    assert len(farewells) == len(rounds)
+    assert all(position + 1 == len(records)
+               or records[position + 1]["seq"] == 0
+               for position in farewells)
     if benchmark.enabled:
         report(benchmark,
                f"events-on campaign: min "

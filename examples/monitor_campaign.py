@@ -2,15 +2,15 @@
 """Live campaign monitoring walkthrough: watch a campaign from outside
 its process, then reconcile the event log against the journal.
 
-The campaign control plane (PR 9) writes three artifacts next to the
-journal — an append-only ``events.jsonl`` (every state transition, one
-JSON line each), a ``heartbeats/`` directory (one liveness file per
-process), and the journal itself.  ``repro status`` reconstructs a
-campaign's state purely from those files, which is what this example
-demonstrates: the campaign below runs in a *subprocess* and the
-monitoring loop never touches its interpreter — exactly the position
-you are in when you ssh into a box mid-campaign, or when the campaign
-is already dead.
+The campaign control plane (PR 9) writes two artifacts — an
+append-only ``events.jsonl`` next to the journal (every state
+transition, one JSON line each, plus every process's periodic
+``heartbeat`` record) and the journal itself.  ``repro status``
+reconstructs a campaign's state purely from those files, which is what
+this example demonstrates: the campaign below runs in a *subprocess*
+and the monitoring loop never touches its interpreter — exactly the
+position you are in when you ssh into a box mid-campaign, or when the
+campaign is already dead.
 
 Run:  python examples/monitor_campaign.py
 
@@ -82,6 +82,8 @@ def main() -> None:
         print(render_status(final))
         assert final["state"] == "finished (complete)", final["state"]
         assert final["fraction"] == 1.0
+        # Every writer closed with its farewell: none is left to watch.
+        assert final["workers"] == [], final["workers"]
 
         # -- reconcile: event log vs journal, record by record --------
         records, warnings = read_events(events_path(camp))
@@ -98,10 +100,10 @@ def main() -> None:
         assert paid == sum(1 for record in evaluations
                            if not record["cached"])
         print()
+        farewells = sum(1 for record in records if record.get("final"))
         print(f"event log reconciles with the journal: "
               f"{len(finished)} points finished ({paid} paid), "
-              f"{len(records)} events, heartbeats cleaned up: "
-              f"{not os.listdir(os.path.join(camp, 'heartbeats'))}")
+              f"{len(records)} events, {farewells} clean farewell(s)")
 
 
 if __name__ == "__main__":

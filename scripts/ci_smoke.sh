@@ -244,12 +244,14 @@ python "$ROOT/examples/observe_campaign.py"
 # -- control plane ------------------------------------------------------------
 
 step "status reads a live campaign from disk mid-run"
-# The campaign runs in the background; `repro status` must answer from
-# events.jsonl + heartbeats alone while it is still going, then again
-# after it finishes.
+# The campaign runs in the background with a worker pool; `repro
+# status` must answer from events.jsonl + the journal alone while it is
+# still going, then again after it finishes.  Liveness rides in the
+# event log: every writer beats there, and no heartbeats/ directory
+# appears.
 repro explore histogram \
   --axis bins=1,2,4,8,16 --axis variant=lrsc,colibri \
-  --set updates_per_core=128 --seed 0 --budget 10 \
+  --set updates_per_core=128 --seed 0 --budget 10 --jobs 2 \
   --events --out status-artifacts/campaign &
 CAMPAIGN_PID=$!
 while [ ! -f status-artifacts/campaign/journal.json ]; do
@@ -258,6 +260,19 @@ while [ ! -f status-artifacts/campaign/journal.json ]; do
 done
 repro status status-artifacts/campaign
 wait "$CAMPAIGN_PID"
+if [ -e status-artifacts/campaign/heartbeats ]; then
+  echo "a heartbeats/ directory was created"; exit 1
+fi
+python -c "
+import sys
+from repro.obs import read_events
+records, _ = read_events('status-artifacts/campaign/events.jsonl')
+writers = {record['pid'] for record in records}
+beating = {record['pid'] for record in records
+           if record['event'] == 'heartbeat'}
+assert writers == beating, sorted(writers - beating)
+print('every writer beats:', len(writers), 'writers')
+"
 
 step "finished campaign reports 100% and reconciled totals"
 repro status status-artifacts/campaign

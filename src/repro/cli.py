@@ -29,7 +29,8 @@ diagnostics without writing a kernel:
 * ``status`` — live campaign monitoring: ``repro status DIR
   [--follow]`` reconstructs progress, budget burn, ETA and per-worker
   liveness purely from the on-disk control plane an ``explore
-  --events`` campaign maintains — running, finished or killed alike;
+  --events`` campaign maintains (``events.jsonl`` and the journal) —
+  running, finished or killed alike;
 * ``trace`` — run a scenario with telemetry probes attached and render
   or export the diagnostics (``repro trace histogram --probe
   bank_contention --out report/ --format json``);
@@ -54,6 +55,7 @@ from typing import Optional
 from .engine.errors import ReproError
 from .eval.analysis import summarize
 from .obs import OBS
+from .obs.status import DEFAULT_STALE_AFTER
 from .eval.fig3 import run_fig3
 from .eval.fig4 import run_fig4
 from .eval.fig5 import run_fig5
@@ -351,10 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--events", action="store_true",
                          help="write the campaign control plane next to "
                               "the journal: an append-only "
-                              "events.jsonl of state transitions plus "
-                              "per-process heartbeats, which is what "
-                              "'repro status' reads (needs --out/"
-                              "--resume)")
+                              "events.jsonl of state transitions and "
+                              "per-process heartbeat records, which "
+                              "with the journal is what 'repro "
+                              "status' reads (needs --out/--resume)")
     _add_jobs(explore)
     _add_obs(explore)
 
@@ -441,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     statusp = sub.add_parser(
         "status", help="live campaign status — progress, ETA, worker "
                        "liveness — reconstructed purely from the "
-                       "on-disk control plane (event log + heartbeats "
-                       "+ journal)")
+                       "on-disk control plane (events.jsonl + "
+                       "journal.json)")
     statusp.add_argument("path",
                          help="campaign directory, or its journal.json "
                               "/ events.jsonl")
@@ -455,10 +457,11 @@ def build_parser() -> argparse.ArgumentParser:
     statusp.add_argument("--timeout", type=float, default=None,
                          help="stop --follow after this many seconds "
                               "even if the campaign is still running")
-    statusp.add_argument("--stale-after", type=float, default=None,
-                         help="seconds of heartbeat silence before a "
-                              "live worker is reported stale (default: "
-                              "max(10, 4x its beat interval))")
+    statusp.add_argument("--stale-after", type=float,
+                         default=DEFAULT_STALE_AFTER,
+                         help="seconds without a record before a live "
+                              "worker is reported stale (default "
+                              f"{DEFAULT_STALE_AFTER:g})")
     statusp.add_argument("--json", action="store_true", dest="as_json",
                          help="one machine-readable JSON snapshot "
                               "instead of the rendering")

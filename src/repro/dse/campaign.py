@@ -307,12 +307,7 @@ class Campaign:
                                               evaluations, seen, paid)
                     paid, truncated = outcome
                     self._write(journal, evaluations, paid, "partial")
-                    monitor = OBS.heartbeat
-                    if monitor is not None:
-                        monitor.update(
-                            points=len(evaluations),
-                            last_seq=(events.last_seq
-                                      if events is not None else None))
+                    OBS.points = len(evaluations)
                     if truncated:
                         status = "budget"
                         break

@@ -8,6 +8,8 @@ engine.  Every fact is one JSON line of an append-only event log
 
 * lifecycle records — campaign, batch and point transitions, cache
   stores and evictions, workers spawning and exiting;
+* while the control plane is open, each writer's periodic
+  ``heartbeat`` records, the proof that it is alive;
 * while recording, nested wall-clock **spans** (``campaign →
   schedule-batch → point → build/run/collect-stats``) as
   ``span_begin``/``span_end`` records, plus ``counter``/``gauge``
@@ -17,11 +19,11 @@ Readers fold that stream: the Chrome trace-event JSON for Perfetto /
 ``chrome://tracing`` with its **metrics** (cache hit/miss/store/evict
 counters, campaign budget gauges, per-category span timers and
 power-of-two latency **histograms**, p50/p90/p99), ``repro obs
-summary``, and ``repro status`` (:mod:`~repro.obs.status`), which adds
-per-process heartbeat files (:mod:`~repro.obs.heartbeat`) to report
-progress, ETA and worker liveness for a running, finished or killed
-campaign without touching the process.  ``--profile`` adds opt-in
-per-phase **cProfile** accumulation.
+summary``, and ``repro status`` (:mod:`~repro.obs.status`), which
+reads it with the journal to report progress, ETA and worker liveness
+for a running, finished or killed campaign without touching the
+process.  ``--profile`` adds opt-in per-phase **cProfile**
+accumulation.
 
 Everything is disabled by default at one-branch cost (bench-guarded by
 ``benchmarks/bench_obs.py``); the CLI records via ``--obs-trace FILE``
@@ -38,18 +40,16 @@ from .eventlog import (
     read_events,
     validate_events,
 )
-from .heartbeat import Heartbeat, liveness, read_heartbeats
 from .metrics import Histogram, MetricsRegistry
 from .profile import PhaseProfiler
 from .schema import TRACE_VERSION, SchemaError, validate_trace
 from .session import OBS, ObsSession
-from .status import collect_status, follow, render_status
+from .status import collect_status, follow, liveness, render_status
 from .summary import render_summary
 
 __all__ = [
     "EVENTS_VERSION",
     "EventLog",
-    "Heartbeat",
     "Histogram",
     "MetricsRegistry",
     "OBS",
@@ -63,7 +63,6 @@ __all__ = [
     "liveness",
     "load_artifact",
     "read_events",
-    "read_heartbeats",
     "render_status",
     "render_summary",
     "salvage_json",

@@ -3,8 +3,10 @@
 Every campaign state transition becomes one JSON record on one line of
 ``events.jsonl``, written next to the journal: campaign started and
 finished, each batch scheduled, each point started and finished (with
-its cache-hit flag and ``wall_ms``), cache stores and evictions, and
-pool workers spawning and exiting.  The journal remains the durable
+its cache-hit flag and ``wall_ms``), cache stores and evictions, pool
+workers spawning and exiting, and each writer's periodic ``heartbeat``
+(role, points done, the spec hash simulating; ``final`` on the
+farewell a clean close writes).  The journal remains the durable
 *result* store; the event log is the durable *progress* store — it is
 what lets a second process (``repro status``, a future coordinator, a
 human with ``tail -f``) answer "how far along is this campaign and are
@@ -33,6 +35,12 @@ Design constraints, in order:
   start method on Linux) heals itself — the first ``emit`` in the child
   reopens the file and restarts its sequence at 0, which the validator
   recognizes as a new writer session.
+* **two threads**: while the control plane is open a daemon timer
+  emits ``heartbeat`` records beside the main thread
+  (:meth:`repro.obs.session.ObsSession.open_events`).  One lock
+  serializes every append in the process, so per-pid ``seq`` stays
+  contiguous, and it is held across ``fork``, so a child never
+  inherits it held or a half-written line in a stream buffer.
 
 Validated by ``python -m repro.obs events.jsonl`` alongside traces.
 """
@@ -41,6 +49,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 
 from ..engine.errors import ConfigError
@@ -68,6 +77,7 @@ EVENT_TYPES = {
     "span_end": ("span", "t"),
     "counter": ("name", "amount"),
     "gauge": ("name", "value"),
+    "heartbeat": ("role", "points", "current"),
 }
 
 #: Envelope fields present on every record.
@@ -75,7 +85,8 @@ _ENVELOPE = ("v", "seq", "pid", "ts", "event")
 
 #: Fields that must be bools, per event type.  ``paid`` is a flag on
 #: ``point_finished`` but a running *count* on ``campaign_finished``.
-_BOOL_FIELDS = {"point_finished": ("cache_hit", "paid")}
+_BOOL_FIELDS = {"point_finished": ("cache_hit", "paid"),
+                "heartbeat": ("final",)}
 
 #: Fields that must be non-negative ints, per event type.
 _COUNT_FIELDS = {
@@ -86,7 +97,14 @@ _COUNT_FIELDS = {
     "worker_exited": ("points",),
     "journal_written": ("evaluations",),
     "counter": ("amount",),
+    "heartbeat": ("points",),
 }
+
+#: Serializes appends across threads; see the module docstring.
+_EMIT_LOCK = threading.Lock()
+os.register_at_fork(before=_EMIT_LOCK.acquire,
+                    after_in_parent=_EMIT_LOCK.release,
+                    after_in_child=_EMIT_LOCK.release)
 
 
 def events_path(directory: str) -> str:
@@ -98,8 +116,7 @@ class EventLog:
     """One writer's append handle on an ``events.jsonl`` file.
 
     Cheap to hold open: ``emit`` is a dict build, a ``json.dumps`` and
-    one flushed write.  Not thread-safe by design — the harness emits
-    from one thread per process (heartbeats write their own files).
+    one flushed write, under the process-wide append lock.
     """
 
     def __init__(self, path: str):
@@ -121,15 +138,16 @@ class EventLog:
 
     def emit(self, event: str, **fields) -> dict:
         """Append one record; returns the record written."""
-        pid = os.getpid()
-        if pid != self._pid:
-            self._reopen(pid)
-        record = {"v": EVENTS_VERSION, "seq": self._seq, "pid": pid,
-                  "ts": round(time.time(), 6), "event": event}
-        record.update(fields)
-        self._seq += 1
-        self._stream.write(json.dumps(record, sort_keys=True) + "\n")
-        self._stream.flush()
+        with _EMIT_LOCK:
+            pid = os.getpid()
+            if pid != self._pid:
+                self._reopen(pid)
+            record = {"v": EVENTS_VERSION, "seq": self._seq, "pid": pid,
+                      "ts": round(time.time(), 6), "event": event}
+            record.update(fields)
+            self._seq += 1
+            self._stream.write(json.dumps(record, sort_keys=True) + "\n")
+            self._stream.flush()
         return record
 
     def _reopen(self, pid: int) -> None:

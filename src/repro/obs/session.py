@@ -20,7 +20,8 @@ every site is one attribute load plus a branch, bench-guarded by
 
 :attr:`ObsSession.events` is the one sink for harness records: the
 campaign's ``events.jsonl`` while the control plane is open
-(:meth:`~ObsSession.open_events`), else — while enabled by
+(:meth:`~ObsSession.open_events`, whose timer thread also proves the
+process alive with ``heartbeat`` records), else — while enabled by
 ``--obs-trace`` / ``--profile`` — a private temporary log the session
 deletes at the next :meth:`~ObsSession.enable` or when it goes away.
 Enabled, the session adds ``span_begin``/``span_end``/``counter``/
@@ -40,6 +41,7 @@ import contextlib
 import json
 import os
 import tempfile
+import threading
 import time
 import weakref
 from typing import Optional
@@ -52,6 +54,9 @@ from .schema import TRACE_VERSION
 
 #: The shared do-nothing span returned while the session is off.
 _NULL_SPAN = contextlib.nullcontext()
+
+#: Seconds between a control-plane writer's ``heartbeat`` records.
+HEARTBEAT_INTERVAL = 0.5
 
 
 class _SpanHandle:
@@ -181,7 +186,14 @@ class ObsSession:
         #: enabled, else ``None`` — so every emission site is the same
         #: one-attr-load-plus-branch as the span hooks.
         self.events = None
+        #: The heartbeat timer thread while the control plane is open.
         self.heartbeat = None
+        self._stop_beats = None
+        #: What the next ``heartbeat`` record carries: this writer's
+        #: role, points done and the spec hash it is simulating.
+        self.role = "coordinator"
+        self.points = 0
+        self.current_point = None
         #: This session's own temporary log (see :meth:`enable`).
         self._private = None
         #: path -> [start, end] byte range this recording wrote to
@@ -229,11 +241,12 @@ class ObsSession:
     def enter_worker(self, enabled: bool, parent) -> None:
         """Continue the coordinator's recording in a forked pool worker.
 
-        The inherited event log, heartbeat and private log belong to
-        the coordinator (closing its heartbeat would delete the
-        coordinator's file), so they are dropped without touching disk
-        before the worker opens its own appender with
-        :meth:`open_events`.  ``parent`` is the coordinator span the
+        The inherited event log and private log belong to the
+        coordinator, so they are dropped (the private file stays; the
+        inherited stream's buffer is empty, since ``fork`` waits for
+        the append lock) before the worker opens its own appender with
+        :meth:`open_events`.  The coordinator's heartbeat thread did
+        not survive the fork.  ``parent`` is the coordinator span the
         worker's top-level spans hang under.
         """
         if self._private is not None:
@@ -254,43 +267,52 @@ class ObsSession:
         if source is not None and source[1] is None:
             source[1] = os.path.getsize(path)
 
-    def open_events(self, path: str, role: str = "coordinator",
-                    heartbeat: bool = True,
-                    heartbeat_interval: float = None):
-        """Open the on-disk control plane: event log + heartbeat.
+    def open_events(self, path: str, role: str = "coordinator"):
+        """Open the on-disk control plane: the ``events.jsonl`` log.
 
-        ``path`` is the ``events.jsonl`` file; the heartbeat directory
-        lives beside it.  Replaces any previously open control plane.
-        Orthogonal to :meth:`enable` — campaigns can write events
-        without recording spans; an enabled session records into this
-        log until :meth:`close_events`.
+        Writes a ``heartbeat`` record at once and then every
+        :data:`HEARTBEAT_INTERVAL` seconds from a daemon thread, so a
+        silent writer reads as stale and a vanished pid as dead.
+        Replaces any previously open control plane.  Orthogonal to
+        :meth:`enable` — campaigns can write events without recording
+        spans; an enabled session records into this log until
+        :meth:`close_events`.
         """
-        from .heartbeat import DEFAULT_INTERVAL, Heartbeat
-        from .heartbeat import heartbeat_dir as resolve_heartbeat_dir
         self.close_events()
-        self.events = EventLog(path)
+        log = self.events = EventLog(path)
         if self.enabled:
             self._track(path)
-        if heartbeat:
-            directory = os.path.dirname(os.path.abspath(path))
-            interval = (DEFAULT_INTERVAL if heartbeat_interval is None
-                        else heartbeat_interval)
-            self.heartbeat = Heartbeat(resolve_heartbeat_dir(directory),
-                                       role=role,
-                                       interval=interval).start()
-        return self.events
+        self.role = role
+        self.points = 0
+        self.current_point = None
+        self._beat(log)
+        self._stop_beats = threading.Event()
+        self.heartbeat = threading.Thread(
+            target=self._beat_until, args=(log, self._stop_beats),
+            daemon=True, name="heartbeat")
+        self.heartbeat.start()
+        return log
 
-    def close_events(self, keep_heartbeat: bool = False) -> None:
-        """Close the control plane; removes this process's heartbeat
-        file (unless ``keep_heartbeat``) so a clean exit reads as one.
+    def _beat(self, log: EventLog, **fields) -> None:
+        log.emit("heartbeat", role=self.role, points=self.points,
+                 current=self.current_point, **fields)
+
+    def _beat_until(self, log: EventLog, stop: threading.Event) -> None:
+        while not stop.wait(HEARTBEAT_INTERVAL):
+            self._beat(log)
+
+    def close_events(self) -> None:
+        """Close the control plane: stop the heartbeat thread and write
+        the farewell beat (``final``), so a clean exit reads as one.
         An enabled session goes back to recording into its private
         log."""
-        monitor, self.heartbeat = self.heartbeat, None
-        if monitor is not None:
-            monitor.stop(remove=not keep_heartbeat)
-        log = self.events
-        if log is None or log is self._private:
+        timer, self.heartbeat = self.heartbeat, None
+        if timer is None:
             return
+        self._stop_beats.set()
+        timer.join()
+        log = self.events
+        self._beat(log, final=True)
         self.events = self._private if self.enabled else None
         self._freeze(log.path)
         log.close()

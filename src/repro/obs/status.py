@@ -1,11 +1,11 @@
 """``repro status`` — live campaign state from on-disk artifacts only.
 
 Reconstructs what a campaign is doing (or was doing when it died) from
-the three files the control plane leaves behind — ``events.jsonl``,
-``heartbeats/`` and ``journal.json`` — never from the process itself.
-The same code therefore answers for a still-running campaign, a
-finished one, and one SIGKILLed mid-batch; the only difference is what
-the artifacts say.
+the two files the control plane leaves behind — ``events.jsonl`` and
+``journal.json`` — never from the process itself.  The same code
+therefore answers for a still-running campaign, a finished one, and
+one SIGKILLed mid-batch; the only difference is what the artifacts
+say.
 
 Reconstruction rules worth knowing:
 
@@ -14,10 +14,19 @@ Reconstruction rules worth knowing:
   the records after the **last** ``campaign_started`` — and because a
   resumed campaign re-emits ``point_finished`` for every replayed
   record, that slice alone reconciles exactly against the journal.
+* Worker liveness is a fold over the same records: every pid that
+  wrote a ``heartbeat`` is one writer, judged by its newest record of
+  any kind — ``ok`` while fresh, ``stale`` once older than
+  ``stale_after`` with the pid still alive (a wedged simulation),
+  ``dead`` once the pid is gone (crash, SIGKILL, OOM-kill).  A writer
+  whose newest record is its farewell (``final``) closed cleanly and
+  is not listed.
 * The overall state is decided by evidence strength: an explicit
-  ``campaign_finished`` wins; otherwise the coordinator heartbeat's
-  liveness (``running`` / ``stalled`` / ``dead``); otherwise whatever
-  the journal's ``status`` field claims.
+  ``campaign_finished`` wins; otherwise the liveness of the writer of
+  the last ``campaign_started`` (``running`` / ``stalled`` /
+  ``dead``), so a resumed campaign is judged by its own coordinator,
+  not the killed one; otherwise whatever the journal's ``status``
+  field claims.
 * ETA multiplies the remaining paid budget by the p50 of a rolling
   window of recent paid ``wall_ms`` values (a
   :class:`~repro.obs.metrics.Histogram`), divided by the live worker
@@ -31,11 +40,71 @@ import time
 
 from ..engine.errors import ConfigError
 from .eventlog import EVENTS_NAME, events_path, read_events
-from .heartbeat import heartbeat_dir, liveness, read_heartbeats
 from .metrics import Histogram
 
 #: Paid wall_ms samples feeding the ETA histogram.
 ETA_WINDOW = 32
+
+#: Seconds of silence after which a live pid reads as ``stale``: far
+#: longer than a heartbeat interval, so a busy worker is never stale.
+DEFAULT_STALE_AFTER = 10.0
+
+
+def pid_alive(pid: int) -> bool:
+    """Whether ``pid`` currently exists (signal-0 probe)."""
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # exists, owned by someone else
+        return True
+    except OSError:
+        return False
+    return True
+
+
+def liveness(record: dict, now: float = None,
+             stale_after: float = DEFAULT_STALE_AFTER) -> str:
+    """Classify a writer by its newest record: ``ok``/``stale``/``dead``."""
+    if now is None:
+        now = time.time()
+    if not pid_alive(record["pid"]):
+        return "dead"
+    return "stale" if now - record["ts"] > stale_after else "ok"
+
+
+def fold_writers(records: list, now: float,
+                 stale_after: float = DEFAULT_STALE_AFTER) -> list:
+    """The workers table: one entry per pid that wrote a ``heartbeat``
+    and has not since closed with its farewell, by pid."""
+    newest: dict = {}
+    beats: dict = {}
+    for record in records:
+        pid = record.get("pid")
+        if not isinstance(pid, int) \
+                or not isinstance(record.get("ts"), (int, float)):
+            continue  # no well-formed envelope: no writer to judge
+        newest[pid] = record
+        if record.get("event") == "heartbeat":
+            beats[pid] = record
+    workers = []
+    for pid, beat in beats.items():
+        record = newest[pid]
+        if record.get("final"):
+            continue
+        workers.append({
+            "pid": pid,
+            "role": beat.get("role", "worker"),
+            "liveness": liveness(record, now=now, stale_after=stale_after),
+            "age_s": round(now - record["ts"], 3),
+            "points": beat.get("points", 0),
+            "current": beat.get("current"),
+            "last_seq": record.get("seq"),
+        })
+    workers.sort(key=lambda entry: entry["pid"])
+    return workers
 
 
 def resolve_campaign_dir(path: str) -> str:
@@ -58,6 +127,8 @@ def aggregate_events(records: list) -> dict:
     of the current session restart their ``seq`` at 0 but their spawn
     events interleave anywhere after the session start.
     """
+    records = [record for record in records
+               if record.get("event") != "heartbeat"]
     start = 0
     sessions = 0
     for position, record in enumerate(records):
@@ -157,7 +228,7 @@ def _journal_summary(document: dict) -> dict:
     }
 
 
-def collect_status(path: str, stale_after: float = None,
+def collect_status(path: str, stale_after: float = DEFAULT_STALE_AFTER,
                    now: float = None) -> dict:
     """One JSON-able snapshot of a campaign's on-disk state."""
     directory = resolve_campaign_dir(path)
@@ -178,6 +249,7 @@ def collect_status(path: str, stale_after: float = None,
             warnings.append(f"journal: {exc}")
 
     agg = None
+    records = []
     events_file = events_path(directory)
     if os.path.exists(events_file):
         records, event_warnings = read_events(events_file)
@@ -185,22 +257,13 @@ def collect_status(path: str, stale_after: float = None,
         if records:
             agg = aggregate_events(records)
 
-    workers = []
-    coordinator = None
-    for record in read_heartbeats(heartbeat_dir(directory)):
-        verdict = liveness(record, now=now, stale_after=stale_after)
-        entry = {
-            "pid": record.get("pid"),
-            "role": record.get("role", "worker"),
-            "liveness": verdict,
-            "age_s": round(now - float(record.get("beat_ts", now)), 3),
-            "points": record.get("points", 0),
-            "current": record.get("current"),
-            "last_seq": record.get("last_seq"),
-        }
-        workers.append(entry)
-        if entry["role"] == "coordinator" and coordinator is None:
-            coordinator = entry
+    workers = fold_writers(records, now, stale_after)
+    owner = None
+    for record in records:
+        if record.get("event") == "campaign_started":
+            owner = record.get("pid")
+    coordinator = next((entry for entry in workers
+                        if entry["pid"] == owner), None)
 
     if agg is not None and agg["finished"] is not None:
         state = f"finished ({agg['finished']['status']})"
@@ -357,7 +420,7 @@ def render_status(status: dict, width: int = 40) -> str:
 
 
 def follow(path: str, interval: float = 1.0, timeout: float = None,
-           stale_after: float = None, width: int = 40,
+           stale_after: float = DEFAULT_STALE_AFTER, width: int = 40,
            echo=print, sleep=time.sleep, clock=time.time):
     """Poll and print status until the campaign finishes or dies.
 

@@ -188,22 +188,17 @@ def execute(workload, spec: ScenarioSpec) -> ScenarioResult:
 def _execute_spec(spec: ScenarioSpec) -> ScenarioResult:
     """Module-level entry for pool workers (picklable by name)."""
     events = OBS.events
-    monitor = OBS.heartbeat
-    if events is not None or monitor is not None:
+    if events is not None:
         spec_hash = spec.stable_hash()
-        if events is not None:
-            events.emit("point_started", spec_hash=spec_hash,
-                        workload=spec.workload)
-        if monitor is not None:
-            monitor.point_started(
-                spec_hash,
-                last_seq=events.last_seq if events is not None else None)
+        events.emit("point_started", spec_hash=spec_hash,
+                    workload=spec.workload)
+        OBS.current_point = spec_hash
     with OBS.span(spec.workload, cat="point", variant=spec.variant,
                   cores=spec.num_cores):
         result = get_workload(spec.workload).run(spec)
-    if monitor is not None:
-        monitor.point_finished(
-            last_seq=events.last_seq if events is not None else None)
+    if events is not None:
+        OBS.points += 1
+        OBS.current_point = None
     return result
 
 
@@ -219,38 +214,33 @@ def scenario_cache_key(spec: ScenarioSpec,
     return "scenario\x1f" + (spec_hash or spec.stable_hash())
 
 
-def _pool_worker_init(events_file: str, heartbeat_interval, enabled: bool,
+def _pool_worker_init(events_file: str, enabled: bool,
                       parent_span) -> None:
     """Pool initializer when the parent has an event log open.
 
-    Each worker opens its own appender on the parent's log (the
-    control plane's ``events.jsonl`` or an enabled session's private
-    log; the parent's handle inherited through fork would reuse its
-    seq counter), starts its own heartbeat file when the parent has
-    one, and announces itself.  Its top-level spans hang under
-    ``parent_span``, the span open in the parent when the pool
-    started.  The farewell is a :class:`multiprocessing.util.Finalize`
-    hook — pool workers exit through ``os._exit``, which skips
-    ``atexit`` but does run multiprocessing's registered finalizers —
-    so a normal ``Pool.close()``/``join()`` (see :func:`simulate`)
-    emits ``worker_exited`` and removes the heartbeat file, while only
-    an abnormal death skips it: exactly the case heartbeats exist to
-    expose.
+    Each worker opens its own appender, with its own heartbeat thread,
+    on the parent's log (the control plane's ``events.jsonl`` or an
+    enabled session's private log; the parent's handle inherited
+    through fork would reuse its seq counter) and announces itself.
+    Its top-level spans hang under ``parent_span``, the span open in
+    the parent when the pool started.  The farewell is a
+    :class:`multiprocessing.util.Finalize` hook — pool workers exit
+    through ``os._exit``, which skips ``atexit`` but does run
+    multiprocessing's registered finalizers — so a normal
+    ``Pool.close()``/``join()`` (see :func:`simulate`) emits
+    ``worker_exited`` and the final heartbeat, while only an abnormal
+    death skips them: exactly the case heartbeats exist to expose.
     """
     from multiprocessing.util import Finalize
     OBS.enter_worker(enabled, parent_span)
-    OBS.open_events(events_file, role="worker",
-                    heartbeat=heartbeat_interval is not None,
-                    heartbeat_interval=heartbeat_interval)
+    OBS.open_events(events_file, role="worker")
     OBS.events.emit("worker_spawned", role="worker")
     Finalize(None, _pool_worker_exit, exitpriority=100)
 
 
 def _pool_worker_exit() -> None:
-    monitor = OBS.heartbeat
     if OBS.events is not None:
-        OBS.events.emit("worker_exited",
-                        points=monitor.points if monitor else 0)
+        OBS.events.emit("worker_exited", points=OBS.points)
     OBS.close_events()
 
 
@@ -277,11 +267,8 @@ def simulate(specs: Sequence[ScenarioSpec], jobs: int = 1,
         events = OBS.events
         initializer = initargs = None
         if events is not None:
-            monitor = OBS.heartbeat
             initializer = _pool_worker_init
-            initargs = (events.path,
-                        monitor.interval if monitor is not None else None,
-                        OBS.enabled, OBS.current)
+            initargs = (events.path, OBS.enabled, OBS.current)
         with multiprocessing.Pool(processes=min(jobs, len(specs)),
                                   initializer=initializer,
                                   initargs=initargs or ()) as pool:
@@ -289,7 +276,7 @@ def simulate(specs: Sequence[ScenarioSpec], jobs: int = 1,
             if events is not None:
                 # The ``with`` block terminates workers outright; a
                 # close/join first lets their farewells (the
-                # worker_exited event, heartbeat removal) run.
+                # worker_exited event, final heartbeat) run.
                 pool.close()
                 pool.join()
     if cache is not None:

@@ -26,7 +26,6 @@ import pytest
 import repro
 from repro.obs import collect_status, render_status
 from repro.obs.eventlog import events_path, validate_events_file
-from repro.obs.heartbeat import heartbeat_dir
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -103,29 +102,15 @@ def test_status_reports_partial_progress_and_dead_workers(
     assert 1 <= status["points"] < 10
     assert status["budget"] == 10
     assert 0 < status["fraction"] < 1.0
-    # The coordinator's heartbeat file survived the kill and its pid is
-    # gone — the status must say so, not guess "running".
+    # The coordinator's heartbeats end without a farewell and its pid
+    # is gone — the status must say so, not guess "running".
     dead = [entry for entry in status["workers"]
             if entry["liveness"] == "dead"]
     assert dead, f"expected a dead heartbeat, got {status['workers']}"
     assert status["state"].startswith("dead (coordinator pid")
     text = render_status(status)
     assert "DEAD" in text
-
-
-def test_status_survives_heartbeat_dir_removal(killed_campaign):
-    # Same wreckage, heartbeats swept away (tmpwatch, manual cleanup):
-    # the event log alone must still yield partial progress.
-    import shutil
-    hb_dir = heartbeat_dir(str(killed_campaign))
-    backup = hb_dir + ".bak"
-    shutil.move(hb_dir, backup)
-    try:
-        status = collect_status(str(killed_campaign))
-        assert status["points"] >= 1
-        assert not status["state"].startswith("finished")
-    finally:
-        shutil.move(backup, hb_dir)
+    assert not os.path.exists(killed_campaign / "heartbeats")
 
 
 def test_resume_converges_to_uninterrupted_journal(
@@ -155,7 +140,8 @@ def test_resume_converges_to_uninterrupted_journal(
     assert status["fraction"] == 1.0
     assert status["points"] == len(resumed_journal["evaluations"])
     assert status["paid"] <= 10
-    # Clean shutdown removed the resumed coordinator's heartbeat; only
-    # the killed session's orphan file remains.
-    leftovers = os.listdir(heartbeat_dir(str(killed_campaign)))
-    assert len(leftovers) == 1
+    # The resumed coordinator closed with its farewell and is not
+    # listed; the killed one still reads dead.
+    killed = records[0]["pid"]
+    assert [(entry["pid"], entry["liveness"])
+            for entry in status["workers"]] == [(killed, "dead")]

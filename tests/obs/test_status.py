@@ -1,4 +1,4 @@
-"""`repro status`: reconstruction from event log + heartbeats + journal."""
+"""`repro status`: reconstruction from event log + journal."""
 
 import json
 import os
@@ -7,11 +7,13 @@ import time
 import pytest
 
 from repro.engine.errors import ConfigError
-from repro.obs import (EventLog, Heartbeat, collect_status, follow,
-                       render_status)
-from repro.obs.eventlog import events_path
-from repro.obs.heartbeat import heartbeat_dir
+from repro.obs import EventLog, collect_status, follow, render_status
+from repro.obs.eventlog import EVENTS_VERSION, events_path
+from repro.obs.session import fold_records
 from repro.obs.status import aggregate_events, resolve_campaign_dir
+
+#: A pid above Linux's largest ``pid_max``: never alive.
+GONE = 2 ** 22 + 54321
 
 
 def _emit_campaign(log, budget=4, finish="complete"):
@@ -28,6 +30,21 @@ def _emit_campaign(log, budget=4, finish="complete"):
     if finish is not None:
         log.emit("campaign_finished", status=finish, points=budget,
                  paid=budget)
+
+
+def _beat(log, points=0, role="coordinator"):
+    log.emit("heartbeat", role=role, points=points, current=None)
+
+
+def _dead_writer(directory, *records):
+    """Append ``(event, fields)`` records as written by a pid that is
+    gone (a SIGKILLed session)."""
+    with open(events_path(str(directory)), "a") as out:
+        for seq, (event, fields) in enumerate(records):
+            record = {"v": EVENTS_VERSION, "seq": seq, "pid": GONE,
+                      "ts": time.time(), "event": event}
+            record.update(fields)
+            out.write(json.dumps(record) + "\n")
 
 
 def _campaign_dir(tmp_path, budget=4, finish="complete"):
@@ -84,6 +101,41 @@ def test_aggregate_uses_last_session_only(tmp_path):
     assert agg["events_total"] > agg["events"]
 
 
+def test_aggregate_ignores_heartbeats(tmp_path):
+    # Heartbeats prove liveness; they are not progress.
+    from repro.obs import read_events
+    aggregates = []
+    for beats in (False, True):
+        path = events_path(str(tmp_path / f"camp{beats}"))
+        with EventLog(path) as log:
+            if beats:
+                _beat(log)
+            _emit_campaign(log, budget=3, finish=None)
+            log.emit("point_started", spec_hash="inflight")
+            if beats:
+                _beat(log, points=3)
+        agg = aggregate_events(read_events(path)[0])
+        del agg["first_ts"], agg["last_ts"]
+        aggregates.append(agg)
+    plain, beating = aggregates
+    assert beating == plain
+    assert (beating["points"], beating["inflight"]) == (3, 1)
+
+
+def test_fold_records_ignores_heartbeats(tmp_path):
+    directory = tmp_path / "camp"
+    directory.mkdir()
+    with EventLog(events_path(str(directory))) as log:
+        _beat(log)
+        log.emit("counter", name="cache.hit", amount=2)
+        _beat(log, points=1)
+    from repro.obs import read_events
+    records = read_events(events_path(str(directory)))[0]
+    spans, metrics = fold_records(records)
+    assert spans == []
+    assert metrics.snapshot()["counters"] == {"cache.hit": 2}
+
+
 def test_aggregate_tracks_inflight_points(tmp_path):
     directory = tmp_path / "camp"
     directory.mkdir()
@@ -113,9 +165,8 @@ def test_collect_status_finished_campaign(tmp_path):
 
 
 def test_collect_status_killed_campaign_reports_partial(tmp_path):
-    # No campaign_finished, no heartbeats (pid gone takes its file's
-    # meaning from liveness below), no journal: partial progress must
-    # still be reported from the event log alone.
+    # No campaign_finished, no heartbeats, no journal: partial
+    # progress must still be reported from the event log alone.
     directory = tmp_path / "camp"
     directory.mkdir()
     with EventLog(events_path(str(directory))) as log:
@@ -135,46 +186,96 @@ def test_collect_status_killed_campaign_reports_partial(tmp_path):
 
 
 def test_collect_status_dead_coordinator_heartbeat(tmp_path):
-    directory = _campaign_dir(tmp_path, budget=2, finish=None)
-    hb_dir = heartbeat_dir(str(directory))
-    os.makedirs(hb_dir)
-    bogus_pid = 2 ** 22 + 54321
-    record = {"version": 1, "pid": bogus_pid, "role": "coordinator",
-              "interval": 0.5, "started_ts": time.time(),
-              "beat_ts": time.time(), "beats": 9, "points": 2,
-              "current": None, "last_seq": 11}
-    with open(os.path.join(hb_dir, f"hb-{bogus_pid}.json"), "w") as out:
-        json.dump(record, out)
+    directory = tmp_path / "camp"
+    directory.mkdir()
+    _dead_writer(directory,
+                 ("heartbeat", {"role": "coordinator", "points": 0,
+                                "current": None}),
+                 ("campaign_started", {"workload": "mixed",
+                                       "sampler": "grid", "budget": 2}),
+                 ("heartbeat", {"role": "coordinator", "points": 2,
+                                "current": None}))
     status = collect_status(str(directory))
-    assert status["state"].startswith("dead (coordinator pid")
-    assert status["workers"][0]["liveness"] == "dead"
+    assert status["state"] == (f"dead (coordinator pid {GONE} is gone "
+                               f"— killed?)")
+    [entry] = status["workers"]
+    assert (entry["pid"], entry["liveness"], entry["points"],
+            entry["last_seq"]) == (GONE, "dead", 2, 2)
 
 
 def test_collect_status_live_coordinator_is_running(tmp_path):
+    directory = tmp_path / "camp"
+    directory.mkdir()
+    with EventLog(events_path(str(directory))) as log:
+        _beat(log)
+        _emit_campaign(log, budget=2, finish=None)
+        _beat(log, points=2)
+    status = collect_status(str(directory))
+    assert status["state"] == "running"
+    assert status["eta_s"] is None or status["eta_s"] >= 0
+    [entry] = status["workers"]
+    assert (entry["pid"], entry["role"], entry["liveness"],
+            entry["points"]) == (os.getpid(), "coordinator", "ok", 2)
+
+
+def test_collect_status_resumed_live_coordinator_beats_killed_one(
+        tmp_path):
+    # A --resume appends a second session: the killed coordinator's
+    # beats stay in the log, but the state is the resumed one's.
+    directory = tmp_path / "camp"
+    directory.mkdir()
+    _dead_writer(directory,
+                 ("heartbeat", {"role": "coordinator", "points": 0,
+                                "current": None}),
+                 ("campaign_started", {"workload": "mixed",
+                                       "sampler": "grid", "budget": 4}))
+    with EventLog(events_path(str(directory))) as log:
+        _beat(log)
+        _emit_campaign(log, budget=4, finish=None)
+    status = collect_status(str(directory))
+    assert status["state"] == "running"
+    assert [(entry["pid"], entry["liveness"])
+            for entry in status["workers"]] == [(os.getpid(), "ok"),
+                                                (GONE, "dead")]
+    assert "DEAD" in render_status(status)
+
+
+def test_collect_status_silent_coordinator_is_stalled(tmp_path):
+    directory = tmp_path / "camp"
+    directory.mkdir()
+    with EventLog(events_path(str(directory))) as log:
+        _beat(log)
+        _emit_campaign(log, budget=2, finish=None)
+    status = collect_status(str(directory), now=time.time() + 60.0)
+    assert status["state"].startswith(
+        f"stalled (coordinator pid {os.getpid()} silent for")
+    assert collect_status(str(directory), now=time.time() + 60.0,
+                          stale_after=120.0)["state"] == "running"
+
+
+def test_collect_status_skips_records_without_a_writer(tmp_path):
+    # A parseable line with a broken envelope names no writer to judge.
     directory = _campaign_dir(tmp_path, budget=2, finish=None)
-    monitor = Heartbeat(heartbeat_dir(str(directory)),
-                        role="coordinator", interval=9.0)
-    monitor.update(points=2, last_seq=9)
-    try:
-        status = collect_status(str(directory))
-        assert status["state"] == "running"
-        assert status["eta_s"] is None or status["eta_s"] >= 0
-    finally:
-        monitor.stop()
+    with open(events_path(str(directory)), "a") as out:
+        out.write(json.dumps({"event": "heartbeat", "pid": "x",
+                              "ts": "later", "role": "worker"}) + "\n")
+        out.write(json.dumps({"event": "heartbeat", "pid": 7}) + "\n")
+    status = collect_status(str(directory))
+    assert status["workers"] == []
+    assert status["points"] == 2
 
 
 def test_collect_status_finished_event_beats_stale_heartbeat(tmp_path):
-    # campaign_finished is the strongest evidence: even a surviving
-    # (unclean) heartbeat file must not flip the verdict.
-    directory = _campaign_dir(tmp_path, budget=2, finish="complete")
-    monitor = Heartbeat(heartbeat_dir(str(directory)),
-                        role="coordinator", interval=9.0)
-    monitor.beat()
-    try:
-        status = collect_status(str(directory))
-        assert status["state"] == "finished (complete)"
-    finally:
-        monitor.stop()
+    # campaign_finished is the strongest evidence: even a coordinator
+    # that never wrote its farewell must not flip the verdict.
+    directory = tmp_path / "camp"
+    directory.mkdir()
+    with EventLog(events_path(str(directory))) as log:
+        _beat(log)
+        _emit_campaign(log, budget=2, finish="complete")
+    status = collect_status(str(directory), now=time.time() + 60.0)
+    assert status["state"] == "finished (complete)"
+    assert status["workers"][0]["liveness"] == "stale"
 
 
 def test_collect_status_journal_only_directory(tmp_path):
@@ -219,13 +320,9 @@ def test_collect_status_is_json_serializable(tmp_path):
 
 def test_render_status_shows_bar_figures_and_workers(tmp_path):
     directory = _campaign_dir(tmp_path, budget=4)
-    monitor = Heartbeat(heartbeat_dir(str(directory)),
-                        role="coordinator", interval=9.0)
-    monitor.update(points=4, last_seq=13)
-    try:
-        text = render_status(collect_status(str(directory)), width=20)
-    finally:
-        monitor.stop()
+    with EventLog(events_path(str(directory))) as log:
+        _beat(log, points=4)
+    text = render_status(collect_status(str(directory)), width=20)
     assert "state:    finished (complete)" in text
     assert "[####################] 100.0%" in text
     assert "(4/4 paid, 0 free)" in text
@@ -249,21 +346,19 @@ def test_follow_stops_on_finished_and_returns_status(tmp_path):
 
 
 def test_follow_timeout_bounds_a_live_campaign(tmp_path):
-    directory = _campaign_dir(tmp_path, budget=4, finish=None)
-    monitor = Heartbeat(heartbeat_dir(str(directory)),
-                        role="coordinator", interval=9.0)
-    monitor.beat()
+    directory = tmp_path / "camp"
+    directory.mkdir()
+    with EventLog(events_path(str(directory))) as log:
+        _beat(log)
+        _emit_campaign(log, budget=4, finish=None)
     clock_value = [0.0]
 
     def clock():
         clock_value[0] += 1.0
         return clock_value[0]
 
-    try:
-        status = follow(str(directory), interval=0.5, timeout=2.0,
-                        echo=lambda _t: None, sleep=lambda _s: None,
-                        clock=clock)
-    finally:
-        monitor.stop()
+    status = follow(str(directory), interval=0.5, timeout=2.0,
+                    echo=lambda _t: None, sleep=lambda _s: None,
+                    clock=clock)
     assert status["state"] == "running"
     assert any("timeout" in warning for warning in status["warnings"])

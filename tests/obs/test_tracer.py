@@ -131,7 +131,7 @@ def test_span_ids_stay_unique_when_a_pid_writes_two_sessions():
         for _pool in range(2):
             worker = ObsSession()
             worker.enter_worker(True, open_span)
-            worker.open_events(session.events.path, heartbeat=False)
+            worker.open_events(session.events.path)
             with worker.span("point", cat="point"):
                 pass
             worker.close_events()
