@@ -327,8 +327,11 @@ python "$ROOT/examples/quickstart.py"
 # with no failed point.  Its last output line is one JSON result.
 # paper256 also runs at a second seed: bank controllers are built on
 # first touch, mid-run, and that must not perturb the event stream at
-# any seed.
-for run in paper256:0 paper256:7 campaign_cold:0 campaign_warm:0; do
+# any seed.  campaign_cold also runs at a held-out seed: its sparse
+# 16-core timelines exercise the event wheel's gap scan and far-heap
+# path most.
+for run in paper256:0 paper256:7 campaign_cold:0 campaign_cold:5 \
+    campaign_warm:0; do
   workload="${run%:*}" seed="${run#*:}"
   step "perfbench $workload (seed $seed) reproduces its goldens"
   result="$(python3 "$ROOT/perfbench/run.py" --workload "$workload" \

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from ..interconnect.messages import MemResponse, Op, Status
@@ -66,8 +67,14 @@ class CoreApi:
     def __init__(self, core_id: int, num_cores: int, seed: int = 0) -> None:
         self.core_id = core_id
         self.num_cores = num_cores
-        #: Per-core deterministic RNG (workload address streams).
-        self.rng = random.Random((seed << 20) ^ core_id)
+        self._seed = seed
+
+    @cached_property
+    def rng(self) -> random.Random:
+        """Per-core deterministic RNG (workload address streams,
+        backoff), seeded on first use: a core that never draws never
+        pays for seeding one."""
+        return random.Random((self._seed << 20) ^ self.core_id)
 
     # -- plain memory ---------------------------------------------------------
 

@@ -22,7 +22,7 @@ from heapq import heappush
 from typing import Generator, Optional
 
 from ..engine.errors import KernelError, ProtocolViolation
-from ..engine.events import PRIORITY_NORMAL
+from ..engine.events import MASK, SPAN
 from ..engine.simulator import Simulator
 from ..engine.stats import CoreStats
 from ..interconnect.messages import (
@@ -49,10 +49,11 @@ class Core:
         self.stats = stats
         # The hub is stable for the simulator's lifetime, so the hot
         # paths below can cache it (one load + branch when off), as
-        # they do the heap, its sequence counter and the address
+        # they do the event wheel, its sequence counter and the address
         # decode of AddressMap.bank_of.
         self._telemetry = sim.telemetry
-        self._heap = sim.heap
+        self._ring = sim.ring
+        self._far = sim.far
         self._seq = sim.seq
         self._word_bytes = address_map.word_bytes
         self._num_banks = address_map.num_banks
@@ -145,8 +146,9 @@ class Core:
                     self._set_state(state)
                 else:
                     self.state = state
-                heappush(self._heap, [now + 1, PRIORITY_NORMAL,
-                                      next(self._seq), self._send, req])
+                # The 1-cycle issue stage is inside the wheel's span.
+                next(self._seq)
+                self._ring[(now + 1) & MASK].append((self._send, req))
                 return
             if isinstance(cmd, Compute):
                 cycles = cmd.cycles
@@ -157,8 +159,13 @@ class Core:
                 stats.instructions += cycles
                 # The kernel resumes with no value; ``cycles > 0``, so
                 # the entry needs none of Simulator.schedule's checks.
-                heappush(self._heap, [self.sim.now + cycles, PRIORITY_NORMAL,
-                                      next(self._seq), self._advance, None])
+                cycle = self.sim.now + cycles
+                if cycles < SPAN:
+                    next(self._seq)
+                    self._ring[cycle & MASK].append((self._advance, None))
+                else:
+                    heappush(self._far, (cycle, next(self._seq),
+                                         (self._advance, None)))
                 return
             if isinstance(cmd, Retire):
                 self.stats.ops_completed += cmd.count

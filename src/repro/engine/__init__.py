@@ -9,7 +9,7 @@ from .errors import (
     ReproError,
     SimulationError,
 )
-from .events import Event, EventQueue, PRIORITY_EARLY, PRIORITY_LATE, PRIORITY_NORMAL
+from .events import Event
 from .simulator import Simulator
 from .stats import BankStats, CoreStats, NetworkStats, SimStats
 
@@ -22,10 +22,6 @@ __all__ = [
     "ReproError",
     "SimulationError",
     "Event",
-    "EventQueue",
-    "PRIORITY_EARLY",
-    "PRIORITY_LATE",
-    "PRIORITY_NORMAL",
     "Simulator",
     "BankStats",
     "CoreStats",

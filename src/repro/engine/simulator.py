@@ -10,38 +10,49 @@ and report exactly that).
 
 Hot-path design
 ---------------
-``schedule``/``schedule_at`` allocate nothing but the raw heap entry —
-no :class:`~repro.engine.events.Event` handle — because no modelled
-component ever cancels (use :meth:`Simulator.schedule_event` when you
-need a cancellable handle).  One private loop, :meth:`Simulator._drain`,
-serves :meth:`~Simulator.run` (with or without ``until``) and
-:meth:`~Simulator.run_for`.  It drains the heap directly with
-:mod:`heapq` and writes the clock only when the cycle actually changes:
-a burst of same-cycle events costs one clock update, and the
-runaway / monotonicity / deadline guards run per cycle instead of per
-event.  The ``until`` predicate is called only when one is installed.
-Together with the C-speed list-entry comparisons this roughly halves
-the per-event cost of the seed kernel (see ``BENCH_engine.json``).
+The event queue is a timing wheel (:mod:`repro.engine.events`): a
+ring of :data:`~repro.engine.events.SPAN` per-cycle FIFO lists of
+``(fn, arg)`` pairs plus a far heap for events at or beyond the span.
+One private loop, :meth:`Simulator._drain`, serves :meth:`~Simulator.run`
+(with or without ``until``) and :meth:`~Simulator.run_for`.  Per
+occupied cycle it moves the cycle's far entries to the front of the
+slot, runs the runaway / deadline guards, writes the clock once and
+fires the slot with a plain ``for`` loop, which also picks up the
+slot's same-cycle appends; between cycles it scans forward to the next
+occupied slot, or jumps to the far heap's top when the ring is empty.
+An event costs one tuple, one ``list.append`` and one call: no heap
+sift and no key comparison.  That matters most on the densest
+traffic, the LR/SC retry storms, where a binary heap's push and pop
+are a large share of each event (``BENCH_engine.json`` records the
+engine's self time under both queues).  The gain depends on density:
+the wheel pays a fixed cost per occupied cycle (the scan, the combined
+guard test, the clock write, the loop set-up and the slot clear), so
+at about one and a half events per occupied cycle or fewer it loses
+to a heap: the two sparsest 256-core units run 2-13% slower.
+``paper256`` averages 3.1 events per occupied cycle and
+``campaign_cold`` 2.6; timelines under two are about a fifth of
+either workload's host time (``BENCH_engine.json``, ``density``).
 
-The heap itself is a small share of a simulation (``heappush`` +
-``heappop`` are ~5% of a cProfile of the 256-core paper points), which
-is why it is not replaced by a calendar queue.  The cost is the Python
-call chain of each memory request (core → network → bank → adapter →
-core), so that chain is fused into one frame per hop that touches each
-object once: the core issues inside its kernel loop and decodes the
-bank inline; the network reads the topology's flat route table once
-per message; the bank controller services a message in place when its
-port is free; the adapter dispatches through a per-class table indexed
-by ``Op.index``; and the core calls its state-change hook only while
-a ``core_state`` subscriber is attached.  Every observation site on
-that chain is one load and one ``is not None`` branch on the
+The rest of the per-event cost is the Python call chain of each memory
+request (core → network → bank → adapter → core), so that chain is
+fused into one frame per hop that touches each object once: the core
+issues inside its kernel loop and decodes the bank inline; the network
+reads the topology's flat route table once per message; the bank
+controller services a message in place when its port is free; the
+adapter dispatches through a per-class table indexed by ``Op.index``;
+and the core calls its state-change hook only while a ``core_state``
+subscriber is attached.  Every observation site on that chain is one
+load and one ``is not None`` branch on the
 :class:`~repro.telemetry.hub.Telemetry` hub, the simulator's only
 recording path.
 
-Those hops push their entries directly onto :attr:`Simulator.heap`,
-drawing sequence numbers from :attr:`Simulator.seq` in exactly the
-order the ``schedule`` calls they replace did, so the event stream is
-unchanged.  A direct push uses only a delay that is positive by
+Those hops push onto :attr:`Simulator.ring` / :attr:`Simulator.far`
+directly, in the one push shape :meth:`Simulator.schedule` uses: tick
+:attr:`Simulator.seq`, then append ``(fn, arg)`` to slot
+``cycle & MASK`` when ``cycle - now < SPAN``, else push
+``(cycle, seq, (fn, arg))`` onto the far heap.  They draw in exactly
+the order the ``schedule`` calls they replace did, so the event stream
+is unchanged.  A direct push uses only a delay that is positive by
 construction: the 1-cycle issue stage, a ``Compute`` of ``cycles > 0``,
 a route latency (``LatencyConfig.validate`` guarantees each is
 ``>= 1``) or a port slot, which is never before its arrival.
@@ -52,17 +63,23 @@ other caller.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+try:
+    from operator import call
+except ImportError:     # Python 3.10: ``operator.call`` is new in 3.11
+    def call(fn, /):
+        return fn()
 from typing import Callable, Optional
 
 from .errors import DeadlockError, SimulationError
-from .events import Event, EventQueue, NO_ARG, PRIORITY_NORMAL
+from .events import (FIRE, MASK, NO_ARG, SPAN, Event, EventQueue,
+                     fired_through, only_dead)
 
 
 class Simulator:
     """Deterministic discrete-event simulator with an integer cycle clock."""
 
     __slots__ = ("now", "max_cycles", "telemetry", "_queue",
-                 "heap", "seq", "_blocked_reporters", "_finished")
+                 "ring", "far", "seq", "_blocked_reporters", "_finished")
 
     def __init__(self, max_cycles: int = 100_000_000,
                  telemetry: Optional["Telemetry"] = None) -> None:
@@ -78,10 +95,11 @@ class Simulator:
         #: simulation; probes subscribe here (see :mod:`repro.telemetry`).
         self.telemetry = telemetry
         self._queue = EventQueue()
-        #: Aliases into the queue's internals for the zero-indirection
-        #: hot path (see "Hot-path design" above); the queue never
-        #: reassigns either, so components may alias them too.
-        self.heap = self._queue._heap
+        #: Aliases into the wheel for the zero-indirection hot path (see
+        #: "Hot-path design" above); the queue never reassigns them, so
+        #: components may alias them too.
+        self.ring = self._queue.ring
+        self.far = self._queue.far
         self.seq = self._queue._counter
         #: Callbacks returning a human-readable description of any agent
         #: still blocked; consulted when the event queue drains.
@@ -90,8 +108,7 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
 
-    def schedule(self, delay: int, fn: Callable,
-                 priority: int = PRIORITY_NORMAL, arg=NO_ARG,
+    def schedule(self, delay: int, fn: Callable, arg=NO_ARG,
                  _heappush=heappush, _next=next) -> None:
         """Run ``fn`` ``delay`` cycles from now (``delay >= 0``).
 
@@ -102,25 +119,27 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay} at cycle {self.now}")
-        _heappush(self.heap,
-                  [self.now + delay, priority, _next(self.seq), fn, arg])
+        if arg is NO_ARG:
+            fn, arg = call, fn
+        if delay < SPAN:
+            _next(self.seq)
+            self.ring[(self.now + delay) & MASK].append((fn, arg))
+        else:
+            _heappush(self.far,
+                      (self.now + delay, _next(self.seq), (fn, arg)))
 
-    def schedule_at(self, cycle: int, fn: Callable,
-                    priority: int = PRIORITY_NORMAL, arg=NO_ARG,
-                    _heappush=heappush, _next=next) -> None:
+    def schedule_at(self, cycle: int, fn: Callable, arg=NO_ARG) -> None:
         """Run ``fn`` at absolute ``cycle`` (must not be in the past)."""
         if cycle < self.now:
             raise SimulationError(
                 f"cannot schedule at {cycle}, now is {self.now}")
-        _heappush(self.heap,
-                  [cycle, priority, _next(self.seq), fn, arg])
+        self.schedule(cycle - self.now, fn, arg)
 
-    def schedule_event(self, delay: int, fn: Callable[[], None],
-                       priority: int = PRIORITY_NORMAL) -> Event:
+    def schedule_event(self, delay: int, fn: Callable[[], None]) -> Event:
         """Like :meth:`schedule` but returns a cancellable handle."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay} at cycle {self.now}")
-        return self._queue.push(self.now + delay, fn, priority)
+        event = Event(self.now + delay, fn, self._queue)
+        self.schedule(delay, FIRE, event)
+        return event
 
     # -- deadlock detection hooks -------------------------------------------
 
@@ -180,53 +199,82 @@ class Simulator:
         return self.now
 
     def _drain(self, until: Optional[Callable[[], bool]],
-               deadline: Optional[int], _heappop=heappop,
-               _heappush=heappush) -> bool:
+               deadline: Optional[int], _heappop=heappop) -> bool:
         """The one drain loop behind :meth:`run` and :meth:`run_for`.
 
-        Fires events in ``(cycle, priority, seq)`` order.  Returns
-        ``True`` when it stopped early — ``until`` held after an event,
-        or the next live event lies past ``deadline`` (that entry goes
-        back on the heap) — and ``False`` when the heap ran dry.
+        Fires events in ``(cycle, push order)``.  Returns ``True`` when
+        it stopped early — ``until`` held after an event (the rest of
+        the cycle stays queued), or the next event lies past
+        ``deadline`` — and ``False`` when the queue ran dry.
         """
-        heap = self.heap
+        queue = self._queue
+        ring = self.ring
+        far = self.far
         max_cycles = self.max_cycles
-        # One bound test per new cycle: past ``limit`` either the window
-        # ends (``deadline``) or the run is a runaway (``max_cycles``).
+        # Past ``limit`` either the window ends (``deadline``) or the
+        # run is a runaway (``max_cycles``).
         limit = max_cycles if deadline is None else min(deadline, max_cycles)
-        no_arg = NO_ARG
-        now = self.now
-        while heap:
-            entry = _heappop(heap)
-            fn = entry[3]
-            if fn is None:              # cancelled, dropped lazily
-                if deadline is not None and entry[0] > deadline:
-                    _heappush(heap, entry)
-                    return True
-                continue
-            cycle = entry[0]
+        # Far entries never sit at the clock here: the loop merges them
+        # at their cycle, and a window jump stops short of them.
+        now = cycle = self.now
+        slot = ring[now & MASK]
+        while True:
+            if not slot:
+                # Scan to the next occupied cycle.  The ring only holds
+                # cycles in [cycle, cycle + SPAN), and the scan stops at
+                # the far heap's top; an empty ring jumps straight there.
+                stop = cycle + SPAN
+                if far and far[0][0] < stop:
+                    stop = far[0][0]
+                while cycle < stop and not ring[cycle & MASK]:
+                    cycle += 1
+                if cycle == stop:
+                    if not far:
+                        return False
+                    cycle = far[0][0]
+                slot = ring[cycle & MASK]
             if cycle != now:
-                if cycle > limit:
-                    if deadline is not None and cycle > deadline:
-                        _heappush(heap, entry)
-                        return True
-                    raise SimulationError(
-                        f"exceeded max_cycles={max_cycles} "
-                        f"(runaway simulation?)")
-                if cycle < now:
-                    raise SimulationError(
-                        "event queue went backwards in time")
+                # One combined test keeps the rare cases off the common
+                # path: a bound passed, a handle cancelled, far entries due.
+                if cycle > limit or queue.cancelled \
+                        or far and far[0][0] == cycle:
+                    if cycle > limit and deadline is not None \
+                            and cycle > deadline:
+                        return True     # the far entries stay far
+                    if far and far[0][0] == cycle:
+                        # Far entries were pushed a span or more ahead,
+                        # so before every ring entry of this cycle.
+                        due = []
+                        while far and far[0][0] == cycle:
+                            due.append(_heappop(far)[2])
+                        slot[:0] = due
+                    if queue.cancelled and only_dead(slot):
+                        slot.clear()    # dead entries never move the clock
+                        cycle += 1
+                        slot = ring[cycle & MASK]
+                        continue
+                    if cycle > limit:
+                        raise SimulationError(
+                            f"exceeded max_cycles={max_cycles} "
+                            f"(runaway simulation?)")
                 now = self.now = cycle
-            arg = entry[4]
-            if arg is no_arg:
-                fn()
-            else:
-                fn(arg)
-            if until is not None and until():
-                return True
-        return False
+            try:
+                for entry in slot:
+                    entry[0](entry[1])
+                    if until is not None and until():
+                        del slot[:fired_through(slot, entry)]
+                        return True
+            except BaseException:
+                # What fired, the raising entry included, leaves the
+                # slot, so a caller that catches and runs on fires it
+                # once only and ``pending_events`` stays exact.
+                del slot[:fired_through(slot, entry)]
+                raise
+            slot.clear()
+            cycle += 1
+            slot = ring[cycle & MASK]
 
     @property
     def pending_events(self) -> int:
-        """Number of queued entries (cancelled-but-unpopped included)."""
-        return len(self.heap)
+        """Number of queued entries (cancelled-but-unreached included)."""
+        return len(self._queue)

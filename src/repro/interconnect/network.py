@@ -35,7 +35,7 @@ from heapq import heappush
 from typing import Callable
 
 from ..arch.topology import Topology
-from ..engine.events import PRIORITY_NORMAL
+from ..engine.events import MASK, SPAN
 from ..engine.simulator import Simulator
 from ..engine.stats import NetworkStats
 from .messages import MemRequest, MemResponse, SuccessorUpdate, WakeUpRequest
@@ -95,9 +95,10 @@ class Network:
         self.sim = sim
         self.topology = topology
         self.stats = stats
-        # Hot-path aliases: the simulator's heap and sequence counter
-        # (direct pushes) and the topology's memoized route table.
-        self._heap = sim.heap
+        # Hot-path aliases: the simulator's event wheel and sequence
+        # counter (direct pushes) and the topology's memoized route table.
+        self._ring = sim.ring
+        self._far = sim.far
         self._seq = sim.seq
         self._routes = topology.routes
         self._cores_per_tile = topology.config.cores_per_tile
@@ -178,8 +179,13 @@ class Network:
         # Route latencies are >= 1 (LatencyConfig.validate) and a port
         # slot is never before its arrival, so the entry lies in the
         # future and needs none of Simulator.schedule_at's checks.
-        heappush(self._heap, [delivery, PRIORITY_NORMAL, next(self._seq),
-                              self._bank_handlers[bank_id], req])
+        if delivery - now < SPAN:
+            next(self._seq)
+            self._ring[delivery & MASK].append(
+                (self._bank_handlers[bank_id], req))
+        else:
+            heappush(self._far, (delivery, next(self._seq),
+                                 (self._bank_handlers[bank_id], req)))
 
     def send_response(self, resp: MemResponse, bank_id: int) -> None:
         """Bank → core: deliver a response after the route latency."""
@@ -201,22 +207,33 @@ class Network:
             cb(now, kind, cls, latency, hops)
         # Route latencies are >= 1 (LatencyConfig.validate), so the
         # entry needs none of Simulator.schedule's checks.
-        heappush(self._heap, [now + latency, PRIORITY_NORMAL, next(self._seq),
-                              self._core_handlers[core_id], resp])
+        if latency < SPAN:
+            next(self._seq)
+            self._ring[(now + latency) & MASK].append(
+                (self._core_handlers[core_id], resp))
+        else:
+            heappush(self._far, (now + latency, next(self._seq),
+                                 (self._core_handlers[core_id], resp)))
 
     def send_successor_update(self, msg: SuccessorUpdate) -> None:
-        """Bank → Qnode: Colibri enqueue-link message."""
-        cls, latency, hops = self.topology.route(msg.prev_core, msg.bank_id)
+        """Bank → Qnode: Colibri enqueue-link message (response path)."""
+        core_id = msg.prev_core
+        route = self._routes[core_id // self._cores_per_tile
+                             * self._num_tiles
+                             + msg.bank_id // self._banks_per_tile]
+        if route is None:
+            route = self.topology.route(core_id, msg.bank_id)
+        cls, latency, hops = route
         stats = self.stats
         messages = stats.messages
         messages["successor_update"] = \
             messages.get("successor_update", 0) + 1
         stats.hops += hops
+        now = self.sim.now
         cb = self._telemetry.on_message
         if cb is not None:
-            cb(self.sim.now, "successor_update", cls, latency, hops)
-        self.sim.schedule(latency, self._qnode_handlers[msg.prev_core],
-                          arg=msg)
+            cb(now, "successor_update", cls, latency, hops)
+        self.sim.schedule(latency, self._qnode_handlers[core_id], msg)
 
     def send_wakeup(self, msg: WakeUpRequest) -> None:
         """Qnode → bank: Colibri dequeue/wake message.
@@ -225,19 +242,25 @@ class Network:
         ingress with ordinary requests (and stay FIFO behind the same
         core's SCwait, which was sent earlier at equal latency).
         """
-        cls, latency, hops = self.topology.route(msg.from_core, msg.bank_id)
+        core_id = msg.from_core
+        bank_id = msg.bank_id
+        bank_tile = bank_id // self._banks_per_tile
+        route = self._routes[core_id // self._cores_per_tile
+                             * self._num_tiles + bank_tile]
+        if route is None:
+            route = self.topology.route(core_id, bank_id)
+        cls, latency, hops = route
         stats = self.stats
         messages = stats.messages
         messages["wakeup_request"] = messages.get("wakeup_request", 0) + 1
         stats.hops += hops
+        now = self.sim.now
         cb = self._telemetry.on_message
         if cb is not None:
-            cb(self.sim.now, "wakeup_request", cls, latency, hops)
-        delivery = self.sim.now + latency
+            cb(now, "wakeup_request", cls, latency, hops)
+        delivery = now + latency
         if cls != "local":
-            tile = self.topology.tile_of_bank(msg.bank_id)
-            slot = self._tile_ingress[tile].next_slot(delivery)
+            slot = self._tile_ingress[bank_tile].next_slot(delivery)
             stats.ingress_wait_cycles += slot - delivery
             delivery = slot
-        self.sim.schedule_at(delivery, self._bank_handlers[msg.bank_id],
-                             arg=msg)
+        self.sim.schedule_at(delivery, self._bank_handlers[bank_id], msg)

@@ -17,7 +17,7 @@ from heapq import heappush
 from typing import Callable
 
 from ..arch.address_map import AddressMap
-from ..engine.events import PRIORITY_NORMAL
+from ..engine.events import MASK, SPAN
 from ..engine.simulator import Simulator
 from ..engine.stats import BankStats
 from ..interconnect.messages import (
@@ -112,8 +112,12 @@ class BankController:
         else:
             # ``start > now``: the entry needs none of schedule_at's
             # checks.
-            heappush(sim.heap, [start, PRIORITY_NORMAL, next(sim.seq),
-                                self._service, msg])
+            if start - now < SPAN:
+                next(sim.seq)
+                sim.ring[start & MASK].append((self._service, msg))
+            else:
+                heappush(sim.far,
+                         (start, next(sim.seq), (self._service, msg)))
 
     def _service(self, msg) -> None:
         """The one service body: the message holds the port this cycle."""

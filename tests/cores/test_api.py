@@ -1,5 +1,7 @@
 """Coverage of every CoreApi instruction through a live machine."""
 
+import random
+
 import pytest
 
 from repro import VariantSpec
@@ -119,3 +121,26 @@ def test_lrwait_response_carries_queue_full():
     machine.load(1, prober)
     machine.run()
     assert statuses == [Status.QUEUE_FULL]
+
+
+def test_rng_is_seeded_only_when_a_kernel_draws():
+    machine = make_machine(256, VariantSpec.amo(), seed=5)
+    drawn = {}
+
+    def kernel(api):
+        if api.core_id in (3, 200):
+            drawn[api.core_id] = [api.rng.randrange(1 << 30)
+                                  for _ in range(4)]
+            yield from api.compute(1 + api.rng.randrange(8))
+        else:
+            yield from api.compute(2)
+
+    machine.load_all(kernel)
+    assert not any("rng" in vars(api) for api in machine.apis)
+    machine.run()
+    assert [core_id for core_id, api in enumerate(machine.apis)
+            if "rng" in vars(api)] == [3, 200]
+    # The lazy stream is the one an eagerly seeded RNG would draw.
+    for core_id, values in drawn.items():
+        eager = random.Random((5 << 20) ^ core_id)
+        assert values == [eager.randrange(1 << 30) for _ in range(4)]
