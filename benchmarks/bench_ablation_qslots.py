@@ -7,8 +7,9 @@ throughput should climb with q and saturate once q covers the core
 count.
 """
 
-from repro.eval.harness import SeriesSpec, run_histogram_point
+from repro.eval.harness import SeriesSpec, histogram_spec
 from repro.eval.reporting import render_table
+from repro.scenarios import run_scenario
 
 from common import BENCH_CORES, BENCH_UPDATES, report, run_experiment
 
@@ -21,7 +22,8 @@ def sweep():
         spec = SeriesSpec(
             f"LRSCwait_{slots if slots else 'ideal'}",
             "lrscwait", "wait", queue_slots=slots)
-        point = run_histogram_point(spec, BENCH_CORES, 1, BENCH_UPDATES)
+        point = run_scenario(
+            histogram_spec(spec, BENCH_CORES, 1, BENCH_UPDATES)).point
         rows.append((spec.label, point.throughput,
                      point.wait_rejections))
     return rows

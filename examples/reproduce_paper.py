@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Regenerate every table and figure of the paper.
 
-Default scale is CI-friendly (32-64 cores); pass ``--full`` for the
-paper's 256-core MemPool instance (slow: tens of minutes of host time).
-Use ``--only fig3`` (etc.) to run a single experiment, ``--jobs N`` to
-shard sweep points across workers (identical results for any N), and
+The experiments are the paper manifest's (``repro.eval.paper``).  The
+default scale is CI-friendly (64 cores, Fig. 5 at 128); ``--full`` runs
+the paper's 256-core MemPool instance, which does not finish yet: its
+Fig. 4 "LRSC lock" point at 1 bin alone did not finish within 15
+minutes on a 2-vCPU host (ROADMAP.md tracks this).  Use ``--only
+fig3`` (etc.) to run a single experiment, ``--jobs N`` to shard sweep
+points across workers (identical results for any N), and
 ``--cache-dir`` to only re-simulate configurations that changed.
 
 Run:  python examples/reproduce_paper.py [--full] [--only EXP] [--jobs N]
@@ -14,26 +17,15 @@ import argparse
 import sys
 import time
 
-from repro.eval import (
-    ResultCache,
-    jobs_argument,
-    run_fig3,
-    run_fig4,
-    run_fig5,
-    run_fig6,
-    run_table1,
-    run_table2,
-    scaling_table,
-)
+from repro.eval import ResultCache, jobs_argument, scaling_table
+from repro.eval.paper import CI, EXPERIMENTS, FULL
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--full", action="store_true",
                         help="paper scale: 256 cores, full sweeps")
-    parser.add_argument("--only", default=None,
-                        choices=["table1", "table2", "fig3", "fig4",
-                                 "fig5", "fig6"],
+    parser.add_argument("--only", default=None, choices=list(EXPERIMENTS),
                         help="run a single experiment")
     parser.add_argument("--jobs", type=jobs_argument, default=1,
                         help="parallel sweep workers (0 = all CPUs)")
@@ -41,32 +33,16 @@ def main(argv=None):
                         help="memoize finished points here")
     args = parser.parse_args(argv)
 
-    cores = 256 if args.full else 64
-    fig5_cores = 256 if args.full else 128
-    updates = 8
-    jobs = args.jobs
+    scale = FULL if args.full else CI
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
-
-    experiments = {
-        "table1": lambda: run_table1().render() + "\n\n" + scaling_table(),
-        "table2": lambda: run_table2(num_cores=cores,
-                                     updates_per_core=updates, jobs=jobs,
-                                     cache=cache).render(),
-        "fig3": lambda: run_fig3(num_cores=cores, updates_per_core=updates,
-                                 jobs=jobs, cache=cache).render(),
-        "fig4": lambda: run_fig4(num_cores=cores, updates_per_core=updates,
-                                 jobs=jobs, cache=cache).render(),
-        "fig5": lambda: run_fig5(num_cores=fig5_cores, jobs=jobs,
-                                 cache=cache).render(),
-        "fig6": lambda: run_fig6(max_cores=cores, jobs=jobs,
-                                 cache=cache).render(),
-    }
-    chosen = [args.only] if args.only else list(experiments)
+    chosen = [args.only] if args.only else list(EXPERIMENTS)
 
     for name in chosen:
         start = time.time()
         print(f"=== {name} " + "=" * (70 - len(name)))
-        print(experiments[name]())
+        print(EXPERIMENTS[name](scale, args.jobs, cache).render())
+        if name == "table1":
+            print("\n" + scaling_table())
         print(f"[{name} took {time.time() - start:.1f}s]\n")
     return 0
 

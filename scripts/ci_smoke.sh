@@ -320,6 +320,14 @@ python "$ROOT/examples/monitor_campaign.py"
 step "quickstart runs and shows the paper's headline"
 python "$ROOT/examples/quickstart.py"
 
+# -- paper manifest -----------------------------------------------------------
+
+# One manifest entry without simulation (Table I, the area model) and
+# one with it (Table II, four 64-core histogram points).
+step "reproduce-the-paper example: --only table1 and --only table2"
+python "$ROOT/examples/reproduce_paper.py" --only table1
+python "$ROOT/examples/reproduce_paper.py" --only table2 --jobs 2
+
 # -- paper-scale goldens ------------------------------------------------------
 
 # Correctness only, no timing bound: each perfbench workload must

@@ -56,10 +56,7 @@ from .engine.errors import ReproError
 from .eval.analysis import summarize
 from .obs import OBS
 from .obs.status import DEFAULT_STALE_AFTER
-from .eval.fig3 import run_fig3
-from .eval.fig4 import run_fig4
-from .eval.fig5 import run_fig5
-from .eval.fig6 import run_fig6
+from .eval import paper
 from .eval.reporting import render_table
 from .eval.runner import ResultCache, jobs_argument
 from .eval.table1 import run_table1, scaling_table
@@ -946,18 +943,10 @@ def cmd_energy(args) -> str:
 
 
 def cmd_reproduce(args) -> str:
-    cores = 256 if args.full else 64
     jobs, cache = _runner_options(args)
-    parts = [
-        run_table1().render(),
-        run_table2(num_cores=cores, jobs=jobs, cache=cache).render(),
-        run_fig3(num_cores=cores, jobs=jobs, cache=cache).render(),
-        run_fig4(num_cores=cores, jobs=jobs, cache=cache).render(),
-        run_fig5(num_cores=256 if args.full else 128, jobs=jobs,
-                 cache=cache).render(),
-        run_fig6(max_cores=cores, jobs=jobs, cache=cache).render(),
-    ]
-    return "\n\n".join(parts)
+    scale = paper.FULL if args.full else paper.CI
+    return "\n\n".join(run(scale, jobs, cache).render()
+                       for run in paper.EXPERIMENTS.values())
 
 
 COMMANDS = {

@@ -9,7 +9,6 @@ from .errors import (
     ReproError,
     SimulationError,
 )
-from .events import Event
 from .simulator import Simulator
 from .stats import BankStats, CoreStats, NetworkStats, SimStats
 
@@ -21,7 +20,6 @@ __all__ = [
     "ProtocolViolation",
     "ReproError",
     "SimulationError",
-    "Event",
     "Simulator",
     "BankStats",
     "CoreStats",

@@ -47,17 +47,13 @@ the fastest or within 7% of it on every 256-core paper point and on
 the 16-core campaign points measured (``BENCH_engine.json``,
 ``span_sweep``).
 
-:class:`Event` handles exist only where a caller may want to cancel
-(:meth:`~repro.engine.simulator.Simulator.schedule_event`): the entry
-fires the handle, which calls its callback unless cancelled.  A
-cancelled entry stays queued (and counted) until the run loop reaches
-its cycle, where it is dropped without moving the clock.
+Scheduled events cannot be cancelled: no component needs it, and the
+run loop then never has to skip a dead entry.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional
 
 #: Ring slots of the timing wheel: a power of two, and more than one,
 #: so a core's 1-cycle issue stage needs no span test.
@@ -68,48 +64,6 @@ MASK = SPAN - 1
 #: Sentinel marking a no-argument callback, so ``None`` stays usable as
 #: a real argument value.
 NO_ARG = object()
-
-
-class Event:
-    """A cancellable handle onto one scheduled callback."""
-
-    __slots__ = ("cycle", "fn", "_queue")
-
-    def __init__(self, cycle: int, fn: Callable[[], None],
-                 queue: "EventQueue") -> None:
-        self.cycle = cycle
-        #: The scheduled callback; ``None`` once cancelled.
-        self.fn: Optional[Callable[[], None]] = fn
-        self._queue = queue
-
-    @property
-    def cancelled(self) -> bool:
-        return self.fn is None
-
-    def cancel(self) -> None:
-        """Mark the event dead; the run loop drops it at its cycle."""
-        if self.fn is not None:
-            self.fn = None
-            self._queue.cancelled = True
-
-    def fire(self) -> None:
-        """The queued callback: run ``fn`` unless cancelled."""
-        fn = self.fn
-        if fn is not None:
-            fn()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging convenience
-        flag = " cancelled" if self.cancelled else ""
-        return f"Event(cycle={self.cycle}{flag})"
-
-
-#: The callback an :class:`Event` handle is queued under.
-FIRE = Event.fire
-
-
-def only_dead(slot: list) -> bool:
-    """True when ``slot`` holds cancelled handles only."""
-    return all(fn is FIRE and arg.fn is None for fn, arg in slot)
 
 
 def fired_through(slot: list, entry: tuple) -> int:
@@ -131,7 +85,7 @@ class EventQueue:
     None of the three containers is ever reassigned.
     """
 
-    __slots__ = ("ring", "far", "_counter", "cancelled")
+    __slots__ = ("ring", "far", "_counter")
 
     def __init__(self) -> None:
         #: ``SPAN`` per-cycle FIFO lists of ``(fn, arg)`` pairs.
@@ -140,10 +94,7 @@ class EventQueue:
         self.far: list = []
         #: The insertion counter: ticks once per scheduled event.
         self._counter = itertools.count()
-        #: Set once any handle is cancelled; from then on the run loop
-        #: checks whether a new cycle holds only dead entries.
-        self.cancelled = False
 
     def __len__(self) -> int:
-        """Queued entries, cancelled-but-unreached ones included."""
+        """Queued entries."""
         return sum(map(len, self.ring)) + len(self.far)

@@ -71,8 +71,7 @@ except ImportError:     # Python 3.10: ``operator.call`` is new in 3.11
 from typing import Callable, Optional
 
 from .errors import DeadlockError, SimulationError
-from .events import (FIRE, MASK, NO_ARG, SPAN, Event, EventQueue,
-                     fired_through, only_dead)
+from .events import MASK, NO_ARG, SPAN, EventQueue, fired_through
 
 
 class Simulator:
@@ -112,9 +111,8 @@ class Simulator:
                  _heappush=heappush, _next=next) -> None:
         """Run ``fn`` ``delay`` cycles from now (``delay >= 0``).
 
-        This is the fire-and-forget fast path: it returns no handle.
-        Use :meth:`schedule_event` if the event may need cancelling.
-        With ``arg`` the callback fires as ``fn(arg)`` — delivery paths
+        Events are fire-and-forget: no handle, no cancellation.  With
+        ``arg`` the callback fires as ``fn(arg)`` — delivery paths
         use this to avoid allocating a closure per message.
         """
         if delay < 0:
@@ -134,12 +132,6 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {cycle}, now is {self.now}")
         self.schedule(cycle - self.now, fn, arg)
-
-    def schedule_event(self, delay: int, fn: Callable[[], None]) -> Event:
-        """Like :meth:`schedule` but returns a cancellable handle."""
-        event = Event(self.now + delay, fn, self._queue)
-        self.schedule(delay, FIRE, event)
-        return event
 
     # -- deadlock detection hooks -------------------------------------------
 
@@ -207,7 +199,6 @@ class Simulator:
         the cycle stays queued), or the next event lies past
         ``deadline`` — and ``False`` when the queue ran dry.
         """
-        queue = self._queue
         ring = self.ring
         far = self.far
         max_cycles = self.max_cycles
@@ -235,9 +226,8 @@ class Simulator:
                 slot = ring[cycle & MASK]
             if cycle != now:
                 # One combined test keeps the rare cases off the common
-                # path: a bound passed, a handle cancelled, far entries due.
-                if cycle > limit or queue.cancelled \
-                        or far and far[0][0] == cycle:
+                # path: a bound passed or far entries due.
+                if cycle > limit or far and far[0][0] == cycle:
                     if cycle > limit and deadline is not None \
                             and cycle > deadline:
                         return True     # the far entries stay far
@@ -248,11 +238,6 @@ class Simulator:
                         while far and far[0][0] == cycle:
                             due.append(_heappop(far)[2])
                         slot[:0] = due
-                    if queue.cancelled and only_dead(slot):
-                        slot.clear()    # dead entries never move the clock
-                        cycle += 1
-                        slot = ring[cycle & MASK]
-                        continue
                     if cycle > limit:
                         raise SimulationError(
                             f"exceeded max_cycles={max_cycles} "
@@ -276,5 +261,5 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of queued entries (cancelled-but-unreached included)."""
+        """Number of queued entries."""
         return len(self._queue)

@@ -1,4 +1,5 @@
-"""Evaluation harness: one runner per table and figure of the paper."""
+"""Evaluation harness: one runner per table and figure of the paper,
+listed once in the paper manifest (:mod:`repro.eval.paper`)."""
 
 from .analysis import (
     bank_pressure,
@@ -7,21 +8,20 @@ from .analysis import (
     summarize,
 )
 from .export import export_all
-from .fig3 import Fig3Result, run_fig3
-from .fig4 import Fig4Result, run_fig4
+from .fig3 import run_fig3
+from .fig4 import run_fig4
 from .fig5 import Fig5Result, run_fig5
-from .fig6 import Fig6Result, QueuePoint, queue_spec, run_fig6, \
-    run_queue_point
+from .fig6 import Fig6Result, QueuePoint, queue_spec, run_fig6
 from .harness import (
     FIG3_SERIES,
     FIG4_SERIES,
+    BinSweepResult,
     HistogramPoint,
     SeriesSpec,
     TABLE2_SERIES,
     histogram_spec,
-    run_histogram_point,
-    sweep_bins,
 )
+from .paper import EXPERIMENTS, Scale
 from .reporting import render_series, render_table
 from .runner import ResultCache, jobs_argument, resolve_jobs
 from .table1 import Table1Result, run_table1, scaling_table
@@ -33,9 +33,7 @@ __all__ = [
     "message_breakdown",
     "summarize",
     "export_all",
-    "Fig3Result",
     "run_fig3",
-    "Fig4Result",
     "run_fig4",
     "Fig5Result",
     "run_fig5",
@@ -43,15 +41,15 @@ __all__ = [
     "QueuePoint",
     "queue_spec",
     "run_fig6",
-    "run_queue_point",
     "FIG3_SERIES",
     "FIG4_SERIES",
+    "BinSweepResult",
     "HistogramPoint",
     "SeriesSpec",
     "TABLE2_SERIES",
     "histogram_spec",
-    "run_histogram_point",
-    "sweep_bins",
+    "EXPERIMENTS",
+    "Scale",
     "table2_specs",
     "render_series",
     "render_table",

@@ -1,14 +1,14 @@
 """Machine-readable export of experiment results.
 
 Reproduction artifacts should be diffable and plottable without
-re-running anything, so every experiment result can be serialized to a
-plain-JSON document with a stable schema:
+re-running anything, so every experiment result serializes itself
+(``to_dict()``) to a plain-JSON document with a stable schema:
 
 ``{"experiment": ..., "parameters": {...}, "series"/"rows": ...}``
 
-:func:`export_all` runs the complete evaluation at a chosen scale and
-writes one JSON file per experiment plus an ``index.json`` — this is
-what EXPERIMENTS.md's numbers are generated from.
+:func:`export_all` runs every experiment of the paper manifest
+(:mod:`repro.eval.paper`) at a chosen scale and writes one JSON file
+per experiment plus an ``index.json``.
 """
 
 from __future__ import annotations
@@ -18,95 +18,7 @@ import json
 import os
 from typing import Optional, Sequence
 
-from .fig3 import Fig3Result, run_fig3
-from .fig4 import Fig4Result, run_fig4
-from .fig5 import Fig5Result, run_fig5
-from .fig6 import Fig6Result, run_fig6
-from .table1 import Table1Result, run_table1
-from .table2 import Table2Result, run_table2
-
-
-def fig3_to_dict(result: Fig3Result) -> dict:
-    """Schema: bins on the x axis, throughput per series."""
-    return {
-        "experiment": "fig3",
-        "parameters": {"num_cores": result.num_cores,
-                       "bins": result.bins},
-        "series": result.throughput_series(),
-        "headline": {
-            "colibri_over_lrsc_at_max_contention":
-                result.speedup_over_lrsc(result.bins[0]),
-        },
-    }
-
-
-def fig4_to_dict(result: Fig4Result) -> dict:
-    """Schema mirrors fig3 with the lock-series legend."""
-    return {
-        "experiment": "fig4",
-        "parameters": {"num_cores": result.num_cores,
-                       "bins": result.bins},
-        "series": result.throughput_series(),
-        "headline": {
-            "colibri_wins_everywhere": result.colibri_wins_everywhere(),
-        },
-    }
-
-
-def fig5_to_dict(result: Fig5Result) -> dict:
-    """Schema: relative worker throughput per poller:worker series."""
-    return {
-        "experiment": "fig5",
-        "parameters": {"num_cores": result.num_cores,
-                       "bins": result.bins},
-        "series": result.series,
-    }
-
-
-def fig6_to_dict(result: Fig6Result) -> dict:
-    """Schema: throughput and fairness per core count."""
-    return {
-        "experiment": "fig6",
-        "parameters": {"core_counts": result.core_counts},
-        "series": result.throughput_series(),
-        "fairness": result.fairness_series(),
-        "headline": {
-            "colibri_over_lrsc_at_max":
-                result.speedup(result.core_counts[-1]),
-        },
-    }
-
-
-def table1_to_dict(result: Table1Result) -> dict:
-    """Schema: one row per architecture with model and paper columns."""
-    return {
-        "experiment": "table1",
-        "rows": [
-            {"architecture": label, "model_kge": model_kge,
-             "model_percent": model_pct, "paper_kge": paper_kge,
-             "paper_percent": paper_pct}
-            for label, model_kge, model_pct, paper_kge, paper_pct
-            in result.rows
-        ],
-        "headline": {"max_relative_error": result.max_relative_error()},
-    }
-
-
-def table2_to_dict(result: Table2Result) -> dict:
-    """Schema: one row per atomic-access flavour."""
-    return {
-        "experiment": "table2",
-        "parameters": {"num_cores": result.num_cores},
-        "rows": [
-            {"access": label, "power_mw": power, "pj_per_op": pj,
-             "delta_percent": delta}
-            for label, power, pj, delta in result.rows
-        ],
-        "headline": {
-            "lrsc_over_colibri": result.ratio("LRSC"),
-            "lock_over_colibri": result.ratio("Atomic Add lock"),
-        },
-    }
+from .paper import EXPERIMENTS, Scale
 
 
 def write_json(path: str, document: dict) -> str:
@@ -140,7 +52,7 @@ def sweep_to_dict(base_spec, axes: dict, outcomes) -> dict:
     :func:`repro.scenarios.run.sweep` returns; each row carries the
     point's axis values plus every scalar of its result, so the JSON is
     plottable without re-running anything — the same contract as the
-    figure documents above.
+    experiments' ``to_dict()`` documents.
     """
     return {
         "experiment": "sweep",
@@ -175,25 +87,14 @@ def export_all(directory: str, num_cores: int = 64,
 
     Returns the index dict (experiment -> file name).
     """
-    fig5_cores = fig5_cores or max(num_cores, 128)
+    scale = Scale.at(num_cores, updates_per_core, fig5_cores)
     os.makedirs(directory, exist_ok=True)
-    documents = {
-        "table1": table1_to_dict(run_table1()),
-        "table2": table2_to_dict(run_table2(
-            num_cores=num_cores, updates_per_core=updates_per_core)),
-        "fig3": fig3_to_dict(run_fig3(
-            num_cores=num_cores, updates_per_core=updates_per_core)),
-        "fig4": fig4_to_dict(run_fig4(
-            num_cores=num_cores, updates_per_core=updates_per_core)),
-        "fig5": fig5_to_dict(run_fig5(num_cores=fig5_cores)),
-        "fig6": fig6_to_dict(run_fig6(max_cores=num_cores)),
-    }
     index = {}
-    for name, document in documents.items():
-        file_name = f"{name}.json"
+    for name, run in EXPERIMENTS.items():
+        document = run(scale, jobs=1, cache=None).to_dict()
+        index[name] = file_name = f"{name}.json"
         with open(os.path.join(directory, file_name), "w") as handle:
             json.dump(document, handle, indent=2, sort_keys=True)
-        index[name] = file_name
     with open(os.path.join(directory, "index.json"), "w") as handle:
         json.dump(index, handle, indent=2, sort_keys=True)
     return index

@@ -12,12 +12,9 @@ high contention).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..scenarios.spec import ScenarioSpec
-from .fig3 import FULL_BINS
-from .harness import FIG4_SERIES, histogram_spec, sweep_bins
-from .reporting import render_series
+from .harness import (FIG4_SERIES, BinSweepResult, histogram_spec,
+                      run_bin_sweep)
 
 #: Approximate values read off the published Fig. 4 (updates/cycle,
 #: 256 cores) at the contention extremes.
@@ -31,35 +28,6 @@ PAPER_REFERENCE = {
 }
 
 
-@dataclass
-class Fig4Result:
-    """Measured Fig. 4 series."""
-
-    num_cores: int
-    bins: list
-    points: dict
-
-    def throughput_series(self) -> dict:
-        """label -> [updates/cycle], aligned with ``bins``."""
-        return {label: [p.throughput for p in pts]
-                for label, pts in self.points.items()}
-
-    def colibri_wins_everywhere(self) -> bool:
-        """The paper's headline: Colibri best at every contention."""
-        series = self.throughput_series()
-        colibri = series["Colibri"]
-        return all(
-            colibri[i] >= max(values[i] for values in series.values())
-            for i in range(len(self.bins)))
-
-    def render(self) -> str:
-        """The figure as a numeric table."""
-        return render_series(
-            "#Bins", self.bins, self.throughput_series(),
-            title=(f"Fig. 4 — lock vs RMW histogram updates/cycle "
-                   f"({self.num_cores} cores)"))
-
-
 def point_spec(label: str, num_bins: int, num_cores: int = 64,
                updates_per_core: int = 8, seed: int = 0) -> ScenarioSpec:
     """The scenario spec of one Fig. 4 point, by legend label."""
@@ -68,18 +36,16 @@ def point_spec(label: str, num_bins: int, num_cores: int = 64,
                           updates_per_core, seed=seed)
 
 
-def run_fig4(num_cores: int = 64, bins_list=None, updates_per_core: int = 8,
-             seed: int = 0, jobs: int = 1, cache=None) -> Fig4Result:
-    """Regenerate Fig. 4 at the given scale.
+def headline(result: BinSweepResult) -> dict:
+    """Whether Colibri is best at every contention."""
+    return {"colibri_wins_everywhere": result.colibri_wins_everywhere()}
 
-    ``jobs``/``cache`` shard and memoize the sweep's independent points
-    (see :func:`repro.scenarios.run.run_scenarios`); results are
-    identical for any ``jobs`` value.
-    """
-    if bins_list is None:
-        max_banks = (num_cores // 4) * 16
-        bins_list = [b for b in FULL_BINS if b <= max_banks]
-    points = sweep_bins(FIG4_SERIES, num_cores, bins_list,
-                        updates_per_core, seed=seed, jobs=jobs, cache=cache)
-    return Fig4Result(num_cores=num_cores, bins=list(bins_list),
-                      points=points)
+
+def run_fig4(num_cores: int = 64, bins_list=None, updates_per_core: int = 8,
+             seed: int = 0, jobs: int = 1, cache=None) -> BinSweepResult:
+    """Regenerate Fig. 4 at the given scale (see
+    :func:`~repro.eval.harness.run_bin_sweep`)."""
+    return run_bin_sweep("fig4",
+                         "Fig. 4 — lock vs RMW histogram updates/cycle",
+                         headline, FIG4_SERIES, num_cores, bins_list,
+                         updates_per_core, seed, jobs, cache)

@@ -59,6 +59,15 @@ class Fig5Result:
         """Minimum relative throughput across the sweep for a series."""
         return min(self.series[label])
 
+    def to_dict(self) -> dict:
+        """Schema: relative worker throughput per poller:worker series."""
+        return {
+            "experiment": "fig5",
+            "parameters": {"num_cores": self.num_cores,
+                           "bins": self.bins},
+            "series": self.series,
+        }
+
 
 def _ratio_label(method: str, num_cores: int, num_workers: int) -> str:
     return f"{method}, {num_cores - num_workers}:{num_workers}"

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..memory.variants import VariantSpec
-from ..scenarios.run import run_scenario, run_spec_grid
+from ..scenarios.run import run_spec_grid
 from ..scenarios.spec import ScenarioSpec, variant_string
 from .points import QueuePoint
 from .reporting import render_series
@@ -70,6 +70,19 @@ class Fig6Result:
             title="Fig. 6 (band) — Jain fairness of per-core ops")
         return throughput + "\n\n" + fairness
 
+    def to_dict(self) -> dict:
+        """Schema: throughput and fairness per core count."""
+        return {
+            "experiment": "fig6",
+            "parameters": {"core_counts": self.core_counts},
+            "series": self.throughput_series(),
+            "fairness": self.fairness_series(),
+            "headline": {
+                "colibri_over_lrsc_at_max":
+                    self.speedup(self.core_counts[-1]),
+            },
+        }
+
 
 def queue_spec(label: str, system_cores: int, active_cores: int,
                ops_per_core: int, seed: int = 0) -> ScenarioSpec:
@@ -82,14 +95,6 @@ def queue_spec(label: str, system_cores: int, active_cores: int,
         params={"method": method, "active_cores": active_cores,
                 "ops_per_core": ops_per_core, "label": label},
         seed=seed)
-
-
-def run_queue_point(label: str, system_cores: int, active_cores: int,
-                    ops_per_core: int, seed: int = 0) -> QueuePoint:
-    """One queue measurement: ``active_cores`` of ``system_cores`` work."""
-    spec = queue_spec(label, system_cores, active_cores, ops_per_core,
-                      seed=seed)
-    return run_scenario(spec).point
 
 
 def run_fig6(max_cores: int = 64, core_counts=None, ops_per_core: int = 16,

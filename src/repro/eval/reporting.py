@@ -1,8 +1,9 @@
 """ASCII rendering of experiment results.
 
 Every experiment runner produces structured results; these helpers turn
-them into aligned plain-text tables and series plots suitable for a
-terminal, a log file, or EXPERIMENTS.md.  No plotting dependencies: the
+them into the aligned plain-text tables and series plots that each
+result's ``render()`` returns and ``repro reproduce`` prints.  No
+plotting dependencies: the
 "figures" are printed as the numeric series the paper's plots encode,
 which is what reproduction comparisons actually need.
 """

@@ -46,6 +46,20 @@ class Table1Result:
             self.rows,
             title="Table I — mempool_tile area")
 
+    def to_dict(self) -> dict:
+        """Schema: one row per architecture with model and paper columns."""
+        return {
+            "experiment": "table1",
+            "rows": [
+                {"architecture": label, "model_kge": model_kge,
+                 "model_percent": model_pct, "paper_kge": paper_kge,
+                 "paper_percent": paper_pct}
+                for label, model_kge, model_pct, paper_kge, paper_pct
+                in self.rows
+            ],
+            "headline": {"max_relative_error": self.max_relative_error()},
+        }
+
 
 def run_table1() -> Table1Result:
     """Evaluate the area model for every published row."""

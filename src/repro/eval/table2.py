@@ -63,6 +63,22 @@ class Table2Result:
             title=(f"Table II — energy per op, histogram @ 1 bin "
                    f"({self.num_cores} cores)"))
 
+    def to_dict(self) -> dict:
+        """Schema: one row per atomic-access flavour."""
+        return {
+            "experiment": "table2",
+            "parameters": {"num_cores": self.num_cores},
+            "rows": [
+                {"access": label, "power_mw": power, "pj_per_op": pj,
+                 "delta_percent": delta}
+                for label, power, pj, delta in self.rows
+            ],
+            "headline": {
+                "lrsc_over_colibri": self.ratio("LRSC"),
+                "lock_over_colibri": self.ratio("Atomic Add lock"),
+            },
+        }
+
 
 def table2_specs(num_cores: int = 64, updates_per_core: int = 8,
                  seed: int = 0, series=None) -> list:

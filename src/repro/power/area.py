@@ -20,7 +20,8 @@ Fitted constants (kGE):
   0.594 kGE per (bank × address).
 
 The published Table I rows are also embedded verbatim
-(:data:`PAPER_TABLE1`) so EXPERIMENTS.md can print model-vs-paper.
+(:data:`PAPER_TABLE1`) so Table I (``repro reproduce``, ``repro area``)
+prints model-vs-paper.
 """
 
 from __future__ import annotations

@@ -69,42 +69,10 @@ def test_windows_ending_on_and_before_far_entries():
     assert fired == ["far", "far again"] and sim.now == 2 * SPAN + 5
 
 
-def test_cancelled_events_are_skipped():
-    sim = Simulator()
-    fired = []
-    first = sim.schedule_event(1, lambda: fired.append("first"))
-    sim.schedule_event(2, lambda: fired.append("second"))
-    first.cancel()
-    assert first.cancelled
-    sim.run()
-    assert fired == ["second"]
-
-
-def test_cancelled_events_do_not_move_the_clock():
-    sim = Simulator()
-    sim.schedule(1, lambda: None)
-    near = sim.schedule_event(4, lambda: None)
-    far = sim.schedule_event(5 * SPAN, lambda: None)
-    near.cancel()
-    far.cancel()
-    assert sim.pending_events == 3
-    assert sim.run() == 1
-    assert sim.pending_events == 0
-
-
-def test_cancelled_event_past_max_cycles_is_not_a_runaway():
-    sim = Simulator(max_cycles=10)
-    sim.schedule_event(SPAN, lambda: None).cancel()
-    sim.schedule(3, lambda: None)
-    assert sim.run() == 3
-
-
 def test_negative_cycle_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.schedule_at(-1, lambda: None)
-    with pytest.raises(SimulationError):
-        sim.schedule_event(-1, lambda: None)
     assert sim.pending_events == 0
 
 
@@ -158,5 +126,4 @@ def test_every_scheduled_event_ticks_the_counter():
     sim.schedule(1, lambda: None)
     sim.schedule(SPAN * 2, lambda: None)
     sim.schedule_at(3, lambda: None)
-    sim.schedule_event(4, lambda: None).cancel()
-    assert next(sim._queue._counter) == 4
+    assert next(sim._queue._counter) == 3

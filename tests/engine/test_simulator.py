@@ -139,15 +139,6 @@ def test_run_for_never_moves_the_clock_backwards():
     assert sim.now == 95
 
 
-def test_run_for_keeps_cancelled_entries_past_the_window():
-    sim = Simulator()
-    handle = sim.schedule_event(20, lambda: None)
-    handle.cancel()
-    sim.run_for(10)
-    assert sim.now == 10
-    assert sim.pending_events == 1
-
-
 def test_run_with_until_and_run_for_share_the_guards():
     sim = Simulator(max_cycles=10)
     sim.schedule(5, lambda: None)

@@ -7,10 +7,11 @@ from repro.eval.harness import (
     FIG4_SERIES,
     SeriesSpec,
     TABLE2_SERIES,
-    run_histogram_point,
-    sweep_bins,
+    histogram_spec,
+    run_bin_sweep,
 )
 from repro.memory.variants import VariantSpec
+from repro.scenarios import run_scenario
 from repro.sync.locks import AmoSpinLock, MwaitMcsLock
 
 
@@ -43,10 +44,14 @@ def test_legends_match_paper():
         "Atomic Add", "Colibri", "LRSC", "Atomic Add lock"]
 
 
+def _point(series, num_cores, num_bins, updates_per_core):
+    return run_scenario(histogram_spec(series, num_cores, num_bins,
+                                       updates_per_core)).point
+
+
 def test_run_histogram_point_verifies_and_measures():
     spec = SeriesSpec("Colibri", "colibri", "wait")
-    point = run_histogram_point(spec, num_cores=8, num_bins=2,
-                                updates_per_core=4)
+    point = _point(spec, num_cores=8, num_bins=2, updates_per_core=4)
     assert point.throughput > 0
     assert point.cycles > 0
     assert point.energy.ops == 32
@@ -55,22 +60,23 @@ def test_run_histogram_point_verifies_and_measures():
 
 def test_run_histogram_point_lock_series():
     spec = SeriesSpec("Atomic Add lock", "amo", "lock", lock="amo")
-    point = run_histogram_point(spec, num_cores=8, num_bins=2,
-                                updates_per_core=4)
+    point = _point(spec, num_cores=8, num_bins=2, updates_per_core=4)
     assert point.throughput > 0
 
 
 def test_sweep_bins_shape():
     series = [SeriesSpec("Atomic Add", "amo", "amo")]
-    results = sweep_bins(series, num_cores=8, bins_list=[1, 4],
-                         updates_per_core=3)
-    assert list(results) == ["Atomic Add"]
-    assert [p.num_bins for p in results["Atomic Add"]] == [1, 4]
+    result = run_bin_sweep("fig3", "sweep", lambda result: {}, series,
+                           num_cores=8, bins_list=[1, 4],
+                           updates_per_core=3, seed=0, jobs=1, cache=None)
+    assert list(result.points) == ["Atomic Add"]
+    assert result.bins == [1, 4]
+    assert [p.num_bins for p in result.points["Atomic Add"]] == [1, 4]
 
 
 def test_throughput_monotone_in_bins_for_amo():
     """Lower contention cannot hurt the AMO roofline."""
     spec = SeriesSpec("Atomic Add", "amo", "amo")
-    low = run_histogram_point(spec, 16, 1, 6)
-    high = run_histogram_point(spec, 16, 64, 6)
+    low = _point(spec, 16, 1, 6)
+    high = _point(spec, 16, 64, 6)
     assert high.throughput > low.throughput

@@ -15,7 +15,7 @@ import pytest
 
 import repro.scenarios.run as run_module
 from repro.eval.fig3 import run_fig3
-from repro.eval.harness import SeriesSpec, histogram_spec, sweep_bins
+from repro.eval.harness import SeriesSpec, histogram_spec, run_bin_sweep
 from repro.eval.runner import ResultCache, resolve_jobs
 from repro.scenarios.run import (
     default_spec,
@@ -62,9 +62,12 @@ def test_parallel_results_identical_to_serial():
 
 
 def test_sweep_bins_identical_for_any_jobs():
-    kwargs = dict(num_cores=8, bins_list=[1, 4], updates_per_core=3)
-    serial = sweep_bins([SPEC], jobs=1, **kwargs)
-    parallel = sweep_bins([SPEC], jobs=4, **kwargs)
+    kwargs = dict(experiment="fig3", title="sweep",
+                  headline=lambda result: {}, series_list=[SPEC],
+                  num_cores=8, bins_list=[1, 4], updates_per_core=3,
+                  seed=0, cache=None)
+    serial = run_bin_sweep(jobs=1, **kwargs)
+    parallel = run_bin_sweep(jobs=4, **kwargs)
     assert serial == parallel
 
 
@@ -325,46 +328,78 @@ def test_cli_parses_jobs_flag():
     assert args.jobs == 1 and args.cache_dir is None
 
 
-def test_cli_passes_jobs_through_to_runners(monkeypatch, capsys):
-    """``repro reproduce --jobs N`` must reach every sweep runner."""
-    import repro.cli as cli
-    seen = {}
+#: Manifest entries that simulate, so take ``jobs`` and ``cache``.
+SIMULATED = ("table2", "fig3", "fig4", "fig5", "fig6")
 
-    class _Rendered:
-        def render(self):
-            return "stub"
+
+class _Stub:
+    """An experiment result that renders as ``<name>``."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def render(self):
+        return f"<{self.name}>"
+
+    def to_dict(self):
+        return {"experiment": self.name}
+
+
+def _stub_manifest(monkeypatch):
+    """Swap every runner the paper manifest calls for a recorder.
+
+    Returns ``{entry: (jobs, cache)}``, filled as the entries run.
+    """
+    from repro.eval import paper
+    seen = {}
 
     def record(name):
         def fake(*_args, jobs=None, cache=None, **_kwargs):
             seen[name] = (jobs, cache)
-            return _Rendered()
+            return _Stub(name)
         return fake
 
-    monkeypatch.setattr(cli, "run_table2", record("table2"))
-    monkeypatch.setattr(cli, "run_fig3", record("fig3"))
-    monkeypatch.setattr(cli, "run_fig4", record("fig4"))
-    monkeypatch.setattr(cli, "run_fig5", record("fig5"))
-    monkeypatch.setattr(cli, "run_fig6", record("fig6"))
+    for name in paper.EXPERIMENTS:
+        monkeypatch.setattr(paper, f"run_{name}", record(name))
+    return seen
+
+
+def test_cli_passes_jobs_through_to_runners(monkeypatch, capsys, tmp_path):
+    """``repro reproduce --jobs N`` reaches every simulated entry, its
+    sections follow the manifest, and ``export_all`` indexes the
+    manifest's names."""
+    import repro.cli as cli
+    from repro.eval import paper
+    from repro.eval.export import export_all
+    seen = _stub_manifest(monkeypatch)
     assert cli.main(["reproduce", "--jobs", "3"]) == 0
-    capsys.readouterr()
-    assert {name: value[0] for name, value in seen.items()} == {
-        "table2": 3, "fig3": 3, "fig4": 3, "fig5": 3, "fig6": 3}
-    assert all(value[1] is None for value in seen.values())
+    assert capsys.readouterr().out == "\n\n".join(
+        f"<{name}>" for name in paper.EXPERIMENTS) + "\n"
+    assert {name: seen[name] for name in SIMULATED} == {
+        name: (3, None) for name in SIMULATED}
+    index = export_all(str(tmp_path), num_cores=8)
+    assert list(index) == list(paper.EXPERIMENTS)
 
 
 def test_cli_cache_dir_builds_cache(monkeypatch, capsys, tmp_path):
     import repro.cli as cli
+    seen = _stub_manifest(monkeypatch)
+    assert cli.main(["reproduce", "--cache-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    caches = {seen[name][1] for name in SIMULATED}
+    assert len(caches) == 1
+    cache = caches.pop()
+    assert isinstance(cache, ResultCache)
+    assert cache.path == str(tmp_path)
+    assert all(seen[name][0] == 1 for name in SIMULATED)
+    # ``repro energy`` runs its one Table II outside the manifest.
     captured = {}
 
-    class _Rendered:
-        def render(self):
-            return "stub"
-
-    def fake(*_args, jobs=None, cache=None, **_kwargs):
+    def fake_table2(*_args, jobs=None, cache=None, **_kwargs):
         captured["cache"] = cache
-        return _Rendered()
+        return _Stub("table2")
 
-    monkeypatch.setattr(cli, "run_table2", fake)
+    monkeypatch.setattr(cli, "run_table2", fake_table2)
     assert cli.main(["energy", "--cores", "8", "--updates", "2",
                      "--cache-dir", str(tmp_path)]) == 0
     capsys.readouterr()

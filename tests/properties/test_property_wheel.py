@@ -1,13 +1,11 @@
 """The timing wheel against a reference binary-heap event queue.
 
 The reference keeps one :mod:`heapq` keyed by ``(cycle, seq)`` — the
-queue the simulator used before the wheel — and drops cancelled
-entries when it pops them, without moving the clock.  Random programs
-schedule through every entry point (``schedule`` with and without an
-argument, ``schedule_at``, ``schedule_event``), spawn more work from
-inside callbacks (delay 0 included), cancel handles and advance time
-in chunks: ``run_for`` windows, ``run(until=...)`` stops, pushes
-between chunks.  Both sides must fire the same events in the same
+queue the simulator used before the wheel.  Random programs schedule
+through every entry point (``schedule`` with and without an argument,
+``schedule_at``), spawn more work from inside callbacks (delay 0
+included) and advance time in chunks: ``run_for`` windows,
+``run(until=...)`` stops, pushes between chunks.  Both sides must fire the same events in the same
 order at the same cycles, and agree on ``now`` and ``pending_events``
 after every chunk.
 """
@@ -23,40 +21,26 @@ from repro.engine.simulator import Simulator
 MAX_EVENTS = 160
 
 
-class Handle:
-    __slots__ = ("cancelled",)
-
-    def __init__(self) -> None:
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
 class Reference:
-    """``(cycle, seq)`` heap with lazily dropped cancelled entries."""
+    """``(cycle, seq)`` heap."""
 
     def __init__(self) -> None:
         self.now = 0
         self.heap: list = []
         self.seq = 0
 
-    def push(self, delay: int, fn, handle=None) -> None:
-        heapq.heappush(self.heap, (self.now + delay, self.seq, fn, handle))
+    def push(self, delay: int, fn) -> None:
+        heapq.heappush(self.heap, (self.now + delay, self.seq, fn))
         self.seq += 1
 
-    def _fire_next(self) -> bool:
-        """Pop one entry; True when it was live and fired."""
-        cycle, _seq, fn, handle = heapq.heappop(self.heap)
-        if handle is not None and handle.cancelled:
-            return False
-        self.now = cycle
+    def _fire_next(self) -> None:
+        self.now, _seq, fn = heapq.heappop(self.heap)
         fn()
-        return True
 
     def run(self, until=None) -> None:
         while self.heap:
-            if self._fire_next() and until is not None and until():
+            self._fire_next()
+            if until is not None and until():
                 return
 
     def run_for(self, cycles: int) -> None:
@@ -77,7 +61,6 @@ class Program:
         self.queue = queue
         self.plan = plan
         self.log: list = []
-        self.handles: dict = {}
         self.spawned = 0
 
     def spawn(self, kind: str, delay: int) -> None:
@@ -87,28 +70,18 @@ class Program:
         self.spawned += 1
         queue = self.queue
         if isinstance(queue, Reference):
-            handle = self.handles[eid] = Handle() if kind == "handle" \
-                else None
-            queue.push(delay, lambda: self.fire(eid), handle)
+            queue.push(delay, lambda: self.fire(eid))
         elif kind == "thunk":
             queue.schedule(delay, lambda: self.fire(eid))
         elif kind == "arg":
             queue.schedule(delay, self.fire, arg=eid)
-        elif kind == "at":
-            queue.schedule_at(queue.now + delay, self.fire, arg=eid)
         else:
-            self.handles[eid] = queue.schedule_event(
-                delay, lambda: self.fire(eid))
+            queue.schedule_at(queue.now + delay, self.fire, arg=eid)
 
     def fire(self, eid: int) -> None:
         self.log.append((eid, self.queue.now))
-        children, cancel = self.plan[eid % len(self.plan)]
-        for kind, delay in children:
+        for kind, delay in self.plan[eid % len(self.plan)]:
             self.spawn(kind, delay)
-        if cancel is not None and self.spawned:
-            handle = self.handles.get(cancel % self.spawned)
-            if handle is not None:
-                handle.cancel()
 
     def chunk(self, step) -> None:
         op, amount = step
@@ -124,9 +97,8 @@ class Program:
 delays = st.one_of(
     st.integers(0, 3 * SPAN),
     st.sampled_from([0, 1, SPAN - 1, SPAN, SPAN + 1, 2 * SPAN]))
-kinds = st.sampled_from(["thunk", "arg", "at", "handle"])
+kinds = st.sampled_from(["thunk", "arg", "at"])
 spawns = st.lists(st.tuples(kinds, delays), max_size=3)
-steps = st.tuples(spawns, st.one_of(st.none(), st.integers(0, 10 ** 6)))
 chunks = st.one_of(
     st.tuples(st.just("run_for"), st.integers(0, 3 * SPAN)),
     st.tuples(st.just("until"), st.integers(1, 20)),
@@ -136,7 +108,7 @@ chunks = st.one_of(
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(initial=st.lists(st.tuples(kinds, delays), min_size=1, max_size=8),
-       plan=st.lists(steps, min_size=1, max_size=12),
+       plan=st.lists(spawns, min_size=1, max_size=12),
        schedule=st.lists(chunks, max_size=10))
 def test_wheel_fires_in_reference_order(initial, plan, schedule):
     wheel = Program(Simulator(), plan)

@@ -12,7 +12,7 @@ One cached point per figure plus the full Table II, all at CI scale.
 from repro.arch.config import SystemConfig
 from repro.eval.fig3 import point_spec as fig3_point_spec
 from repro.eval.fig4 import point_spec as fig4_point_spec
-from repro.eval.fig6 import run_queue_point
+from repro.eval.fig6 import queue_spec
 from repro.eval.table2 import run_table2
 from repro.memory.variants import VariantSpec
 from repro.scenarios import run_scenario
@@ -54,7 +54,7 @@ def test_fig5_point_bit_identical():
 
 
 def test_fig6_point_bit_identical():
-    point = run_queue_point("Colibri", 8, 4, 8, seed=0)
+    point = run_scenario(queue_spec("Colibri", 8, 4, 8, seed=0)).point
     assert point.label == "Colibri"
     assert point.cycles == 209
     assert point.throughput == 0.15311004784688995

@@ -5,7 +5,8 @@ import dataclasses
 import pytest
 
 from repro.engine.errors import ConfigError
-from repro.eval.harness import FIG3_SERIES, histogram_spec, run_histogram_point
+from repro.eval.fig3 import run_fig3
+from repro.eval.harness import FIG3_SERIES, histogram_spec
 from repro.eval.runner import ResultCache
 from repro.scenarios import (
     build_machine,
@@ -31,8 +32,8 @@ def new_scenario_spec():
 
 def test_run_scenario_matches_run_histogram_point():
     point = run_scenario(paper_point_spec()).point
-    direct = run_histogram_point(FIG3_SERIES[1], 8, 4, 4, seed=0)
-    assert point == direct
+    figure = run_fig3(num_cores=8, bins_list=[4], updates_per_core=4)
+    assert point == figure.points["LRSCwait_ideal"][0]
 
 
 def test_result_carries_stats_and_metrics():
