@@ -17,15 +17,26 @@ compares:
 * a lock class — acquire the bin's lock, plain load/add/store, release
   (Fig. 4's lock-based contenders).
 
+The three lock-free methods share one update loop,
+:meth:`Histogram.update_kernel`, over :mod:`repro.sync.rmw`'s
+``fetch_add`` — the one RMW implementation.  Only the bin indices
+differ: uniform draws for Figs. 3/4, Table II and campaigns
+(:meth:`Histogram.kernel_factory`), precomputed per-core streams for
+the Zipf workload (:meth:`Histogram.stream_factory`) and an endless
+uniform stream for Fig. 5's pollers
+(:func:`repro.workloads.interference.endless_histogram_kernel`).
+
 ``verify`` checks the *atomicity invariant*: the bins must sum to the
 exact number of retired updates, whatever the interleaving.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import islice
 from typing import Optional
 
-from ..cores.api import CoreApi
+from ..cores.api import RETIRE, CoreApi
 from ..machine import Machine
 from ..sync.locks import MwaitMcsLock
 from ..sync.rmw import fetch_add
@@ -60,12 +71,16 @@ class Histogram:
 
     # -- kernels ---------------------------------------------------------------------
 
-    def rmw_kernel(self, api: CoreApi, method: str, updates: int):
-        """Updates through a lock-free RMW primitive."""
-        for _ in range(updates):
-            index = api.rng.randrange(self.num_bins)
-            yield from fetch_add(api, self.bin_addr(index), 1, method)
-            yield from api.retire()
+    def update_kernel(self, api: CoreApi, indices, method: str,
+                      **kwargs):
+        """Fetch-and-add 1 to bin ``index`` for each of ``indices``, in
+        order, through the RMW ``method`` (``kwargs`` go to
+        :func:`~repro.sync.rmw.fetch_add`)."""
+        base, word = self.base, self.word
+        for index in indices:
+            yield from fetch_add(api, base + index * word, 1, method,
+                                 **kwargs)
+            yield RETIRE
 
     def lock_kernel(self, api: CoreApi, updates: int):
         """Updates through the per-bin locks set by :meth:`attach_locks`."""
@@ -83,7 +98,8 @@ class Histogram:
             yield from api.retire()
 
     def kernel_factory(self, method: str, updates: int):
-        """Kernel factory for :meth:`Machine.load_all`.
+        """Kernel factory for :meth:`Machine.load_all`: ``updates``
+        uniform-random bin updates per core.
 
         ``method`` is an RMW name or ``"lock"`` (after attach_locks).
         """
@@ -91,35 +107,19 @@ class Histogram:
             return lambda api: self.lock_kernel(api, updates)
         if method not in RMW_METHODS:
             raise ValueError(f"unknown histogram method {method!r}")
-        return lambda api: self.rmw_kernel(api, method, updates)
+        return lambda api: self.update_kernel(
+            api, uniform_indices(api.rng, self.num_bins, updates), method)
 
-    def flat_kernel_factory(self, method: str, updates: int):
-        """Vectorized drop-in for :meth:`kernel_factory` (RMW only).
-
-        Bit-identical to the scalar path — same commands, same cycle
-        counts, same RNG draw order — just one flat generator frame per
-        core instead of the nested ``fetch_add`` stack.  ``"lock"`` has
-        no flat driver; use :meth:`kernel_factory`.
-        """
-        if method not in RMW_METHODS:
-            raise ValueError(f"unknown histogram RMW method {method!r}")
-        from .vectorized import flat_uniform_rmw
-        return lambda api: flat_uniform_rmw(
-            api, self.base, self.word, self.num_bins, updates, method)
-
-    def flat_stream_factory(self, streams, method: str):
-        """Vectorized kernel over per-core precomputed bin-index streams.
+    def stream_factory(self, streams, method: str):
+        """Kernel factory over per-core precomputed bin-index streams.
 
         ``streams[core_id]`` is the sequence of bin indices that core
-        updates, in order (e.g. Zipf draws from a host RNG).  Bit-
-        identical to looping ``fetch_add`` over the same stream.
+        updates, in order (e.g. Zipf draws from a host RNG).
         """
         if method not in RMW_METHODS:
             raise ValueError(f"unknown histogram RMW method {method!r}")
-        from .vectorized import flat_stream_rmw
-        addrs = [[self.bin_addr(index) for index in stream]
-                 for stream in streams]
-        return lambda api: flat_stream_rmw(api, addrs[api.core_id], method)
+        return lambda api: self.update_kernel(api, streams[api.core_id],
+                                              method)
 
     # -- verification -------------------------------------------------------------------
 
@@ -133,6 +133,17 @@ class Histogram:
         if total != expected_total:
             raise AssertionError(
                 f"histogram lost updates: {total} != {expected_total}")
+
+
+def uniform_indices(rng, num_bins: int, count: Optional[int] = None):
+    """Lazy uniform bin indices, endless when ``count`` is None.
+
+    Each index is drawn only when the update loop pulls it, so the bin
+    draws interleave with the retry loops' backoff draws on the same
+    per-core RNG in program order.
+    """
+    draws = iter(partial(rng.randrange, num_bins), None)
+    return draws if count is None else islice(draws, count)
 
 
 def create_shared_mcs_locks(machine: Machine, count: int) -> list:

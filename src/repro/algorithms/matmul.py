@@ -13,8 +13,12 @@ completion time (makespan over workers) is the experiment's metric.
 
 from __future__ import annotations
 
-from ..cores.api import CoreApi
+from ..cores.api import RETIRE, Compute, CoreApi, MemCmd
+from ..interconnect.messages import Op
 from ..machine import Machine
+
+#: One multiply-accumulate: two compute cycles (mul + add).
+MUL_ADD = Compute(2)
 
 
 class Matmul:
@@ -42,26 +46,29 @@ class Matmul:
         return base + (row * self.dim + col) * self.word
 
     def worker_kernel(self, api: CoreApi, rows) -> object:
-        """Compute the given output rows (iterable of row indices)."""
-        for row in rows:
-            for col in range(self.dim):
-                acc = 0
-                for k in range(self.dim):
-                    a = yield from api.lw(self._addr(self.a_base, row, k))
-                    b = yield from api.lw(self._addr(self.b_base, k, col))
-                    yield from api.compute(2)  # mul + add
-                    acc += a * b
-                yield from api.sw(self._addr(self.c_base, row, col), acc)
-                yield from api.retire()
+        """Compute the given output rows (iterable of row indices).
 
-    def flat_worker_kernel(self, api: CoreApi, rows) -> object:
-        """Vectorized drop-in for :meth:`worker_kernel`.
-
-        Same command sequence and cycle costs, but the load commands are
-        prebuilt arrays and the generator is a single flat frame.
+        The A-row and B-column load commands are built up front and
+        reused across iterations (the core only reads commands); the
+        stores carry data-dependent values, so they are built inline.
         """
-        from .vectorized import flat_matmul_kernel
-        return flat_matmul_kernel(api, self, rows)
+        dim = self.dim
+        b_cols = [[MemCmd(Op.LW, self._addr(self.b_base, k, col))
+                   for k in range(dim)]
+                  for col in range(dim)]
+        for row in rows:
+            a_row = [MemCmd(Op.LW, self._addr(self.a_base, row, k))
+                     for k in range(dim)]
+            for col in range(dim):
+                b_col = b_cols[col]
+                acc = 0
+                for k in range(dim):
+                    resp_a = yield a_row[k]
+                    resp_b = yield b_col[k]
+                    yield MUL_ADD
+                    acc += resp_a.value * resp_b.value
+                yield MemCmd(Op.SW, self._addr(self.c_base, row, col), acc)
+                yield RETIRE
 
     def partition_rows(self, num_workers: int) -> list:
         """Split output rows round-robin across ``num_workers``."""

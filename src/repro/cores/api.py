@@ -51,6 +51,11 @@ class Retire:
     count: int = 1
 
 
+#: One retired operation; shared by the kernels that retire after each
+#: update (the core only reads commands, so one instance serves all).
+RETIRE = Retire(1)
+
+
 @dataclass(slots=True)
 class MemCmd:
     """One memory instruction to issue."""

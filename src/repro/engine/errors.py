@@ -14,8 +14,11 @@ class ReproError(Exception):
     """Base class for every error raised by :mod:`repro`."""
 
 
-class ConfigError(ReproError):
-    """Invalid or inconsistent :class:`~repro.arch.config.SystemConfig`."""
+class ConfigError(ReproError, ValueError):
+    """Invalid or inconsistent configuration: a
+    :class:`~repro.arch.config.SystemConfig`, spec or workload parameter.
+    A :class:`ValueError` too, so library callers that check argument
+    values the standard way catch it."""
 
 
 class SimulationError(ReproError):

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import random
 
-from ..algorithms.histogram import Histogram
+from ..algorithms.histogram import RMW_METHODS, Histogram
 from ..algorithms.matmul import Matmul
 from ..algorithms.mcs_queue import (
     QUEUE_METHODS, ConcurrentQueue, queue_worker_kernel)
-from ..algorithms.vectorized import FLAT_RMW_METHODS
 from ..engine.errors import ConfigError
 from ..eval.points import HistogramPoint, QueuePoint
 from ..interconnect.messages import Status
@@ -79,15 +78,15 @@ def _check_method(method: str, methods: tuple, variant) -> None:
             f"{method!r}; it supports: {', '.join(supported)}")
 
 
-def _core_count(value, name: str, machine) -> int:
+def _core_count(value, name: str, num_cores: int) -> int:
     """Validate a cores-subset parameter (``None`` = every core)."""
     if value is None:
-        return machine.config.num_cores
+        return num_cores
     if not isinstance(value, int) or isinstance(value, bool) or \
-            not 1 <= value <= machine.config.num_cores:
+            not 1 <= value <= num_cores:
         raise ConfigError(
             f"{name}={value!r} must be an int in "
-            f"1..{machine.config.num_cores} (or None for all cores)")
+            f"1..{num_cores} (or None for all cores)")
     return value
 
 
@@ -127,19 +126,12 @@ class HistogramWorkload(Workload):
     def load(self, machine, spec: ScenarioSpec) -> LoadedWorkload:
         p = self.resolve_params(spec)
         method = _resolve_method(p["method"], machine.variant)
-        _check_method(method, FLAT_RMW_METHODS + ("lock",),
-                      machine.variant)
+        _check_method(method, RMW_METHODS + ("lock",), machine.variant)
         histogram = Histogram(machine, p["bins"])
         if method == "lock":
             _attach_locks(histogram, p["lock"], p["lock_backoff_window"])
-            factory = histogram.kernel_factory(method,
-                                               p["updates_per_core"])
-        else:
-            # RMW methods run the vectorized driver (bit-identical to
-            # the scalar kernel; golden-tested); locks stay scalar.
-            factory = histogram.flat_kernel_factory(method,
-                                                    p["updates_per_core"])
-        machine.load_all(factory)
+        machine.load_all(histogram.kernel_factory(method,
+                                                  p["updates_per_core"]))
         expected = machine.config.num_cores * p["updates_per_core"]
         label = p["label"] or f"{machine.variant.label()}/{method}"
 
@@ -192,7 +184,7 @@ class ZipfHistogramWorkload(Workload):
             raise ConfigError(
                 "histogram_zipf supports RMW methods only "
                 "(amo/lrsc/wait); use the 'histogram' workload for locks")
-        _check_method(method, FLAT_RMW_METHODS, machine.variant)
+        _check_method(method, RMW_METHODS, machine.variant)
         histogram = Histogram(machine, p["bins"])
         # Per-core deterministic hot-spot streams, precomputed so the
         # simulated kernel spends no host time drawing.
@@ -202,10 +194,7 @@ class ZipfHistogramWorkload(Workload):
                              exponent=p["exponent"]))
             for core in range(machine.config.num_cores)
         ]
-
-        # Vectorized driver over the precomputed streams (bit-identical
-        # to a scalar fetch_add loop; golden-tested).
-        machine.load_all(histogram.flat_stream_factory(streams, method))
+        machine.load_all(histogram.stream_factory(streams, method))
         expected = machine.config.num_cores * p["updates_per_core"]
 
         def finish(stats):
@@ -238,7 +227,8 @@ class QueueWorkload(Workload):
 
     def load(self, machine, spec: ScenarioSpec) -> LoadedWorkload:
         p = self.resolve_params(spec)
-        active = _core_count(p["active_cores"], "active_cores", machine)
+        active = _core_count(p["active_cores"], "active_cores",
+                             machine.config.num_cores)
         ops = p["ops_per_core"]
         _check_method(p["method"], QUEUE_METHODS, machine.variant)
         queue = ConcurrentQueue(machine, p["method"],
@@ -290,14 +280,15 @@ class MatmulWorkload(Workload):
 
     def load(self, machine, spec: ScenarioSpec) -> LoadedWorkload:
         p = self.resolve_params(spec)
-        workers = _core_count(p["workers"], "workers", machine)
+        workers = _core_count(p["workers"], "workers",
+                              machine.config.num_cores)
         matmul = Matmul(machine, p["dim"])
         matmul.fill_inputs()
         rows = matmul.partition_rows(workers)
         for worker, row_slice in enumerate(rows):
             machine.load(worker,
                          lambda api, r=row_slice:
-                         matmul.flat_worker_kernel(api, r))
+                         matmul.worker_kernel(api, r))
 
         def finish(stats):
             return None, {"macs": p["dim"] ** 3,
@@ -335,10 +326,12 @@ class InterferenceWorkload(Workload):
 
     def run(self, spec: ScenarioSpec) -> ScenarioResult:
         p = self.resolve_params(spec)
+        config, variant = spec.system_config(), spec.variant_spec()
+        _check_method(p["method"], RMW_METHODS, variant)
+        workers = _core_count(p["workers"], "workers", config.num_cores)
         result, stats = measure_interference(
-            spec.system_config(), spec.variant_spec(), p["method"],
-            p["workers"], p["bins"], matmul_dim=p["matmul_dim"],
-            seed=spec.seed)
+            config, variant, p["method"], workers, p["bins"],
+            matmul_dim=p["matmul_dim"], seed=spec.seed)
         from .run import METRICS
         metrics = {
             "baseline_cycles": result.baseline_cycles,

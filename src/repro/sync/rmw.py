@@ -1,9 +1,13 @@
-"""Generic atomic read-modify-write sequences.
+"""Generic atomic read-modify-write sequences — the one RMW implementation.
 
 These are the software idioms the paper benchmarks against each other
 (§V-A, histogram): the same *fetch-and-modify* expressed through each
-primitive.  All helpers are generator functions used with
-``yield from`` inside kernels and return the **old** value:
+primitive.  Every kernel that updates a word atomically runs these
+loops: the histogram (Figs. 3/4, Table II, campaigns), its Zipf
+variant and Fig. 5's endless pollers, all through
+:meth:`repro.algorithms.histogram.Histogram.update_kernel`.  All
+helpers are generator functions used with ``yield from`` inside
+kernels and return the **old** value:
 
 * :func:`amo_fetch_add` — one ``amoadd`` instruction (the roofline; only
   possible when the modification is an addition);
@@ -16,6 +20,12 @@ primitive.  All helpers are generator functions used with
   retries after a short randomized wait — this is the software contract
   §III-B describes.
 
+The loops yield the core's commands themselves rather than going
+through the :class:`~repro.cores.api.CoreApi` helpers, so each command
+climbs only the kernel's frame and the loop's own; the commands, their
+cycle counts and the ``api.rng`` draws are exactly those of the
+helpers.  A command is reused across retries: the core only reads it.
+
 ``modify`` is a plain Python function ``old -> new`` standing for the
 register computation between the load and the store; its cost in cycles
 is modelled by ``compute_cycles``.
@@ -25,18 +35,21 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..cores.api import CoreApi
-from ..interconnect.messages import Status
+from ..cores.api import Compute, CoreApi, MemCmd
+from ..interconnect.messages import Op, Status
 from .backoff import (
     DEFAULT_LRSC_BACKOFF,
     QUEUE_FULL_BACKOFF,
 )
 
+#: The default one-cycle modify step, shared by every update.
+_COMPUTE_1 = Compute(1)
+
 
 def amo_fetch_add(api: CoreApi, addr: int, value: int = 1):
     """Fetch-and-add through the single AMO instruction."""
-    old = yield from api.amo_add(addr, value)
-    return old
+    resp = yield MemCmd(Op.AMO_ADD, addr, value)
+    return resp.value
 
 
 def lrsc_fetch_modify(api: CoreApi, addr: int,
@@ -49,15 +62,20 @@ def lrsc_fetch_modify(api: CoreApi, addr: int,
     costs a full round trip plus the backoff wait — the polling/retry
     traffic LRSCwait eliminates.
     """
+    load = MemCmd(Op.LR, addr)
+    think = _COMPUTE_1 if compute_cycles == 1 else Compute(compute_cycles)
     attempt = 0
     while True:
-        old = yield from api.lr(addr)
-        yield from api.compute(compute_cycles)
-        success = yield from api.sc(addr, modify(old))
-        if success:
+        resp = yield load
+        old = resp.value
+        if compute_cycles > 0:
+            yield think
+        resp = yield MemCmd(Op.SC, addr, modify(old))
+        if resp.status is Status.OK:
             return old
         delay = backoff.delay(api.rng, attempt)
-        yield from api.compute(delay)
+        if delay > 0:
+            yield Compute(delay)
         attempt += 1
 
 
@@ -73,18 +91,22 @@ def wait_fetch_modify(api: CoreApi, addr: int,
     sequence retries.  A ``QUEUE_FULL`` bounce retries after a short
     randomized wait.
     """
+    load = MemCmd(Op.LRWAIT, addr)
+    think = _COMPUTE_1 if compute_cycles == 1 else Compute(compute_cycles)
     attempt = 0
     while True:
-        resp = yield from api.lrwait(addr)
+        resp = yield load
         if resp.status is Status.QUEUE_FULL:
             delay = full_backoff.delay(api.rng, attempt)
-            yield from api.compute(delay)
+            if delay > 0:
+                yield Compute(delay)
             attempt += 1
             continue
         old = resp.value
-        yield from api.compute(compute_cycles)
-        success = yield from api.scwait(addr, modify(old))
-        if success:
+        if compute_cycles > 0:
+            yield think
+        resp = yield MemCmd(Op.SCWAIT, addr, modify(old))
+        if resp.status is Status.OK:
             return old
         attempt += 1
 
@@ -94,17 +116,15 @@ def fetch_add(api: CoreApi, addr: int, value: int, method: str,
     """Fetch-and-add through the primitive named by ``method``.
 
     ``method`` is one of ``"amo"``, ``"lrsc"``, ``"wait"`` — the same
-    naming the evaluation harness uses for histogram variants.
+    naming the evaluation harness uses for histogram variants.  Returns
+    the chosen helper's generator (use with ``yield from``), so the
+    method is dispatched once per update and adds no frame of its own;
+    ``kwargs`` go to the lrsc/wait loop and are ignored by ``"amo"``.
     """
     if method == "amo":
-        old = yield from amo_fetch_add(api, addr, value)
-        return old
+        return amo_fetch_add(api, addr, value)
     if method == "lrsc":
-        old = yield from lrsc_fetch_modify(
-            api, addr, lambda v: v + value, **kwargs)
-        return old
+        return lrsc_fetch_modify(api, addr, lambda v: v + value, **kwargs)
     if method == "wait":
-        old = yield from wait_fetch_modify(
-            api, addr, lambda v: v + value, **kwargs)
-        return old
+        return wait_fetch_modify(api, addr, lambda v: v + value, **kwargs)
     raise ValueError(f"unknown RMW method {method!r}")

@@ -19,29 +19,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..algorithms.histogram import Histogram
+from ..algorithms.histogram import Histogram, uniform_indices
 from ..algorithms.matmul import Matmul
 from ..arch.config import SystemConfig
 from ..machine import Machine
 from ..memory.variants import VariantSpec
 from ..sync.backoff import PAPER_LOCK_BACKOFF
-from ..sync.rmw import fetch_add
 
 
 def endless_histogram_kernel(histogram: Histogram, api, method: str,
                              backoff=PAPER_LOCK_BACKOFF):
     """Poller: update random bins until the simulation stops.
 
+    The histogram's update loop over an endless uniform index stream.
     LRSC pollers retry with the paper's fixed 128-cycle backoff
     ("despite a backoff of 128 cycles", §V-B); the backoff is ignored
     by methods that never retry.
     """
     kwargs = {"backoff": backoff} if method == "lrsc" else {}
-    while True:
-        index = api.rng.randrange(histogram.num_bins)
-        yield from fetch_add(api, histogram.bin_addr(index), 1, method,
-                             **kwargs)
-        yield from api.retire()
+    return histogram.update_kernel(
+        api, uniform_indices(api.rng, histogram.num_bins), method, **kwargs)
 
 
 @dataclass

@@ -79,8 +79,13 @@ def test_run_bad_variant_param_exits_2(capsys):
      "variant 'amo' cannot run method 'lrsc'; it supports: amo, lock"),
     (["histogram_zipf", "--variant", "lrsc", "--set", "method=wait"],
      "variant 'lrsc' cannot run method 'wait'; it supports: amo, lrsc"),
+    (["interference", "--variant", "colibri", "--set", "method=lrsc"],
+     "variant 'colibri' cannot run method 'lrsc'; it supports: amo, wait"),
+    (["interference", "--set", "method=bogus"],
+     "unknown method 'bogus'; accepted: amo, lrsc, wait"),
 ], ids=["queue-wait-on-lrsc", "queue-bogus", "queue-native",
-        "histogram-lrsc-on-amo", "zipf-wait-on-lrsc"])
+        "histogram-lrsc-on-amo", "zipf-wait-on-lrsc",
+        "interference-lrsc-on-colibri", "interference-bogus"])
 def test_run_rejects_a_method_the_variant_cannot_run(capsys, argv,
                                                      message):
     """Rejected at load, before any simulation: a config error with
@@ -89,6 +94,19 @@ def test_run_rejects_a_method_the_variant_cannot_run(capsys, argv,
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out.strip() == f"repro: {message}"
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("workers", [64, 0])
+def test_run_rejects_out_of_range_interference_workers(capsys, workers):
+    """Checked before either machine of the paired run is built."""
+    code = main(["run", "interference", "--cores", "16",
+                 "--set", f"workers={workers}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.strip() == (
+        f"repro: workers={workers} must be an int in 1..16 "
+        f"(or None for all cores)")
     assert "Traceback" not in captured.out + captured.err
 
 
