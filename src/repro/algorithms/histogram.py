@@ -77,9 +77,11 @@ class Histogram:
         order, through the RMW ``method`` (``kwargs`` go to
         :func:`~repro.sync.rmw.fetch_add`)."""
         base, word = self.base, self.word
+        # Bind the options once: a ``**kwargs`` call per update costs
+        # the hot loop a dict build even when there are none.
+        rmw = partial(fetch_add, **kwargs) if kwargs else fetch_add
         for index in indices:
-            yield from fetch_add(api, base + index * word, 1, method,
-                                 **kwargs)
+            yield from rmw(api, base + index * word, 1, method)
             yield RETIRE
 
     def lock_kernel(self, api: CoreApi, updates: int):

@@ -124,7 +124,7 @@ def fetch_add(api: CoreApi, addr: int, value: int, method: str,
     if method == "amo":
         return amo_fetch_add(api, addr, value)
     if method == "lrsc":
-        return lrsc_fetch_modify(api, addr, lambda v: v + value, **kwargs)
+        return lrsc_fetch_modify(api, addr, value.__add__, **kwargs)
     if method == "wait":
-        return wait_fetch_modify(api, addr, lambda v: v + value, **kwargs)
+        return wait_fetch_modify(api, addr, value.__add__, **kwargs)
     raise ValueError(f"unknown RMW method {method!r}")
