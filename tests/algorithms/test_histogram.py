@@ -96,9 +96,6 @@ def test_unknown_method_rejected():
     histogram = Histogram(machine, 2)
     with pytest.raises(ValueError):
         histogram.kernel_factory("bogus", 1)
-    # Precomputed streams feed only the lock-free update loop.
-    with pytest.raises(ValueError, match="lock"):
-        histogram.stream_factory([[0]], "lock")
 
 
 def test_shared_mcs_locks_share_node_table():
