@@ -9,7 +9,7 @@ Simulations are deterministic, so a single round measures them exactly;
 ``run_experiment`` wraps ``benchmark.pedantic`` accordingly.  Scales
 default to 32 cores — the paper's qualitative shape holds from 16 cores
 up (asserted by the test-suite), while full-scale runs are available
-through ``examples/reproduce_paper.py --full``.
+through ``repro reproduce --full``.
 
 Engine regression baseline
 --------------------------

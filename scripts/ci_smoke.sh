@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke of every user-facing surface at tiny scale: the
 # scenario and variant registries, telemetry, campaigns and their
-# journals, the --batch no-op, platform observability, the on-disk
-# control plane, the examples and the paper-scale benchmark's goldens.
+# journals, platform observability, the on-disk control plane, the
+# paper manifest, the examples and the paper-scale benchmark's goldens.
 # CI runs it as one job; locally run
 #
 #     bash scripts/ci_smoke.sh
@@ -10,8 +10,8 @@
 # from any directory (an installed `repro` is used if present, else
 # `python -m repro` on this checkout's src/).  Artifacts and caches are
 # written to the current directory: telemetry-artifacts/,
-# explore-artifacts/, obs-artifacts/, status-artifacts/, explore-plain/,
-# explore-batch/, sweep-*.txt, colibri_trace.vcd and .ci-*-cache/.
+# explore-artifacts/, obs-artifacts/, status-artifacts/,
+# colibri_trace.vcd and .ci-*-cache/.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -132,51 +132,6 @@ repro cache prune --cache-dir .ci-dse-cache --max-entries 2
 
 step "trade-off exploration example"
 python "$ROOT/examples/explore_tradeoff.py"
-
-# -- --batch (accepted, no effect) --------------------------------------------
-
-step "--batch sweep output is identical to the plain sweep"
-repro sweep histogram --cores 8 --set updates_per_core=2 \
-  --axis bins=1,4 --axis method=amo,wait > sweep-plain.txt
-repro sweep histogram --cores 8 --set updates_per_core=2 \
-  --axis bins=1,4 --axis method=amo,wait --batch > sweep-batch.txt
-diff sweep-plain.txt sweep-batch.txt
-
-step "--batch explore journal is identical for the same seed"
-# wall_ms is real measured time, the one journal field allowed to
-# differ between the two runs; everything else must match byte for byte.
-repro explore histogram --smoke \
-  --axis bins=1,4 --axis variant=lrsc,colibri \
-  --objective min:cycles --objective min:energy \
-  --sampler random --budget 6 --out explore-plain
-repro explore histogram --smoke \
-  --axis bins=1,4 --axis variant=lrsc,colibri \
-  --objective min:cycles --objective min:energy \
-  --sampler random --budget 6 --out explore-batch --batch
-python - <<'EOF'
-import json
-
-
-def load(path):
-    with open(path) as stream:
-        document = json.load(stream)
-    for record in document["evaluations"]:
-        assert record.pop("wall_ms") >= 0, record
-    return document
-
-
-plain = load("explore-plain/journal.json")
-batch = load("explore-batch/journal.json")
-assert batch == plain, "--batch journal differs beyond wall_ms"
-print("journals identical (wall_ms stripped)")
-EOF
-
-step "batch + parallel jobs output is identical to parallel jobs"
-repro sweep histogram --cores 8 --set updates_per_core=2 \
-  --axis bins=1,4 --jobs 2 > sweep-jobs.txt
-repro sweep histogram --cores 8 --set updates_per_core=2 \
-  --axis bins=1,4 --batch --jobs 2 > sweep-batch-jobs.txt
-diff sweep-jobs.txt sweep-batch-jobs.txt
 
 # -- platform observability ---------------------------------------------------
 
@@ -324,9 +279,9 @@ python "$ROOT/examples/quickstart.py"
 
 # One manifest entry without simulation (Table I, the area model) and
 # one with it (Table II, four 64-core histogram points).
-step "reproduce-the-paper example: --only table1 and --only table2"
-python "$ROOT/examples/reproduce_paper.py" --only table1
-python "$ROOT/examples/reproduce_paper.py" --only table2 --jobs 2
+step "repro reproduce --only table1 and --only table2"
+repro reproduce --only table1
+repro reproduce --only table2 --jobs 2
 
 # -- paper-scale goldens ------------------------------------------------------
 

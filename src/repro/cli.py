@@ -34,12 +34,9 @@ diagnostics without writing a kernel:
 * ``trace`` — run a scenario with telemetry probes attached and render
   or export the diagnostics (``repro trace histogram --probe
   bank_contention --out report/ --format json``);
-* ``histogram`` / ``queue`` / ``interference`` — the paper's workload
-  shortcuts (now thin shims over scenario specs) with the run-summary
-  diagnostics;
 * ``area`` — Table I (model vs paper) and the scaling extrapolation;
-* ``energy`` — Table II at a chosen scale;
-* ``reproduce`` — every table and figure (``--full`` for 256 cores).
+* ``reproduce`` — every table and figure of the paper manifest
+  (``--full`` for 256 cores, ``--only table2`` for one experiment).
 
 All commands are deterministic for a given ``--seed``, and every
 measurement-producing command routes through
@@ -53,14 +50,12 @@ import argparse
 from typing import Optional
 
 from .engine.errors import ReproError
-from .eval.analysis import summarize
 from .obs import OBS
 from .obs.status import DEFAULT_STALE_AFTER
 from .eval import paper
 from .eval.reporting import render_table
 from .eval.runner import ResultCache, jobs_argument
 from .eval.table1 import run_table1, scaling_table
-from .eval.table2 import run_table2
 from .scenarios import (
     apply_settings,
     default_spec,
@@ -68,29 +63,6 @@ from .scenarios import (
     run_scenario,
 )
 from .scenarios.run import sweep as sweep_scenarios
-
-#: Legacy CLI names for hardware variants -> scenario variant strings.
-VARIANT_CHOICES = {
-    "amo": "amo",
-    "lrsc": "lrsc",
-    "lrsc-table": "lrsc_table",
-    "lrsc-bank": "lrsc_bank",
-    "lrscwait1": "lrscwait:1",
-    "lrscwait8": "lrscwait:8",
-    "ideal": "lrscwait:ideal",
-    "colibri": "colibri",
-}
-
-#: CLI names for histogram lock flavours (scenario ``lock`` param).
-LOCK_CHOICES = ("amo", "lrsc", "colibri", "mcs")
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cores", type=int, default=32,
-                        help="number of cores (multiple of 4)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="deterministic workload seed")
-
 
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
     """Sweep-sharding options (commands that run many independent sims)."""
@@ -281,9 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--format", choices=("json", "csv"), default="json",
                      help="export format for --out: one JSON document "
                           "or one tidy CSV table")
-    swp.add_argument("--batch", action="store_true",
-                     help="accepted for compatibility; has no effect "
-                          "(every point builds its machine fresh)")
     _add_jobs(swp)
     _add_obs(swp)
 
@@ -343,10 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="ranking rows to print")
     explore.add_argument("--width", type=int, default=56,
                          help="character width of the frontier plot")
-    explore.add_argument("--batch", action="store_true",
-                         help="accepted for compatibility; has no "
-                              "effect (every point builds its machine "
-                              "fresh)")
     explore.add_argument("--events", action="store_true",
                          help="write the campaign control plane next to "
                               "the journal: an append-only "
@@ -381,48 +346,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="machine-readable JSON instead of the "
                              "table (footprint + lifetime counters)")
 
-    hist = sub.add_parser("histogram",
-                          help="contended histogram (Figs. 3/4 workload)")
-    _add_common(hist)
-    hist.add_argument("--variant", choices=sorted(VARIANT_CHOICES),
-                      default="colibri")
-    hist.add_argument("--method",
-                      choices=["amo", "lrsc", "wait", "lock"],
-                      default=None,
-                      help="update method (default: variant's native)")
-    hist.add_argument("--lock", choices=sorted(LOCK_CHOICES),
-                      default="amo", help="lock flavour for --method lock")
-    hist.add_argument("--bins", type=int, default=16)
-    hist.add_argument("--updates", type=int, default=8,
-                      help="updates per core")
-
-    queue = sub.add_parser("queue",
-                           help="concurrent queue (Fig. 6 workload)")
-    _add_common(queue)
-    queue.add_argument("--method", choices=["lrsc", "wait", "lock"],
-                       default="wait")
-    queue.add_argument("--ops", type=int, default=16,
-                       help="queue accesses per core")
-
-    interf = sub.add_parser("interference",
-                            help="matmul under pollers (Fig. 5 point)")
-    _add_common(interf)
-    interf.add_argument("--variant", choices=sorted(VARIANT_CHOICES),
-                        default="lrsc")
-    interf.add_argument("--workers", type=int, default=4)
-    interf.add_argument("--bins", type=int, default=1)
-
     sub.add_parser("area", help="Table I area model")
-
-    energy = sub.add_parser("energy", help="Table II energy model")
-    _add_common(energy)
-    energy.add_argument("--updates", type=int, default=8)
-    _add_jobs(energy)
 
     repro = sub.add_parser("reproduce",
                            help="every table and figure of the paper")
     repro.add_argument("--full", action="store_true",
                        help="paper scale (256 cores; slow)")
+    repro.add_argument("--only", choices=list(paper.EXPERIMENTS),
+                       default=None,
+                       help="run only this experiment of the manifest")
     _add_jobs(repro)
     _add_obs(repro)
 
@@ -864,69 +796,6 @@ def cmd_status(args) -> str:
     return render_status(status, width=args.width)
 
 
-# -- legacy workload shortcuts (spec shims) ------------------------------------
-
-
-def cmd_histogram(args) -> str:
-    spec = default_spec("histogram").override(
-        num_cores=args.cores,
-        variant=VARIANT_CHOICES[args.variant],
-        seed=args.seed)
-    variant = spec.variant_spec()
-    # Record the concrete method (and the lock only when one is used)
-    # so the spec's stable_hash reflects what actually runs, aligned
-    # with the figure runners' histogram_spec identities.
-    method = args.method or variant.native_method
-    params = {"bins": args.bins, "updates_per_core": args.updates,
-              "method": method}
-    if method == "lock":
-        params["lock"] = args.lock
-    spec = spec.with_params(**params)
-    result = run_scenario(spec)
-    pj = result.metrics["pj_per_op"]
-    title = (f"histogram: {variant.label()}/{method}, {args.cores} cores, "
-             f"{args.bins} bins ({pj:.0f} pJ/op)")
-    return summarize(result.stats, title=title)
-
-
-def cmd_queue(args) -> str:
-    variant = {"lrsc": "lrsc", "wait": "colibri", "lock": "amo"}[args.method]
-    spec = default_spec("queue").override(
-        num_cores=args.cores, variant=variant, seed=args.seed,
-    ).with_params(method=args.method, ops_per_core=args.ops)
-    result = run_scenario(spec)
-    return summarize(result.stats, title=(f"queue: {args.method}, "
-                                          f"{args.cores} cores"))
-
-
-def cmd_interference(args) -> str:
-    spec = default_spec("interference").override(
-        num_cores=args.cores,
-        variant=VARIANT_CHOICES[args.variant],
-        seed=args.seed,
-    ).with_params(
-        method=spec_method(VARIANT_CHOICES[args.variant], args.cores),
-        workers=args.workers,
-        bins=args.bins)
-    result = run_scenario(spec)
-    point = result.point
-    rows = [
-        ("pollers : workers", f"{point.num_pollers}:{point.num_workers}"),
-        ("bins", point.num_bins),
-        ("baseline cycles", point.baseline_cycles),
-        ("interfered cycles", point.interfered_cycles),
-        ("relative throughput", round(point.relative_throughput, 4)),
-    ]
-    return render_table(["metric", "value"], rows,
-                        title=f"interference: {spec.variant_spec().label()}")
-
-
-def spec_method(variant_text: str, num_cores: int) -> str:
-    """The native RMW method of a variant string (poller flavour)."""
-    from .scenarios.spec import parse_variant
-    return parse_variant(variant_text, num_cores).native_method
-
-
 # -- paper tables/figures ------------------------------------------------------
 
 
@@ -936,17 +805,12 @@ def cmd_area(_args) -> str:
             + "\n\n" + variant_area_table())
 
 
-def cmd_energy(args) -> str:
-    jobs, cache = _runner_options(args)
-    return run_table2(num_cores=args.cores, updates_per_core=args.updates,
-                      jobs=jobs, cache=cache).render()
-
-
 def cmd_reproduce(args) -> str:
     jobs, cache = _runner_options(args)
     scale = paper.FULL if args.full else paper.CI
-    return "\n\n".join(run(scale, jobs, cache).render()
-                       for run in paper.EXPERIMENTS.values())
+    names = [args.only] if args.only else paper.EXPERIMENTS
+    return "\n\n".join(paper.EXPERIMENTS[name](scale, jobs, cache).render()
+                       for name in names)
 
 
 COMMANDS = {
@@ -959,11 +823,7 @@ COMMANDS = {
     "obs": cmd_obs,
     "status": cmd_status,
     "trace": cmd_trace,
-    "histogram": cmd_histogram,
-    "queue": cmd_queue,
-    "interference": cmd_interference,
     "area": cmd_area,
-    "energy": cmd_energy,
     "reproduce": cmd_reproduce,
 }
 

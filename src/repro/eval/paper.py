@@ -4,8 +4,8 @@ The paper evaluates six experiments: Tables I–II and Figs. 3–6.
 :data:`EXPERIMENTS` lists them once, in the paper's order, as
 ``name -> run(scale, jobs, cache)``; each ``run`` returns a result with
 ``render()`` (the text table) and ``to_dict()`` (the JSON document).
-``repro reproduce``, :func:`~repro.eval.export.export_all` and
-``examples/reproduce_paper.py`` all iterate it.
+``repro reproduce`` and :func:`~repro.eval.export.export_all` both
+iterate it; ``repro reproduce --only NAME`` runs the one entry ``NAME``.
 
 A :class:`Scale` holds everything that sizes a reproduction; :data:`CI`
 is the default and :data:`FULL` the paper's 256-core MemPool instance.

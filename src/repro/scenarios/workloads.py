@@ -314,7 +314,9 @@ class InterferenceWorkload(Workload):
                    "pollers sharing the system (paper Fig. 5); "
                    "a paired two-run measurement")
     params = {
-        "method": "lrsc",         # pollers' RMW flavour
+        #: Pollers' RMW flavour: "amo" | "lrsc" | "wait" | "native"
+        #: (the variant's own).
+        "method": "native",
         "workers": 4,
         "bins": 1,
         "matmul_dim": 16,
@@ -327,10 +329,11 @@ class InterferenceWorkload(Workload):
     def run(self, spec: ScenarioSpec) -> ScenarioResult:
         p = self.resolve_params(spec)
         config, variant = spec.system_config(), spec.variant_spec()
-        _check_method(p["method"], RMW_METHODS, variant)
+        method = _resolve_method(p["method"], variant)
+        _check_method(method, RMW_METHODS, variant)
         workers = _core_count(p["workers"], "workers", config.num_cores)
         result, stats = measure_interference(
-            config, variant, p["method"], workers, p["bins"],
+            config, variant, method, workers, p["bins"],
             matmul_dim=p["matmul_dim"], seed=spec.seed)
         from .run import METRICS
         metrics = {

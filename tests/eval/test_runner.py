@@ -321,8 +321,9 @@ def test_cli_parses_jobs_flag():
     from repro.cli import build_parser
     args = build_parser().parse_args(["reproduce", "--jobs", "4"])
     assert args.jobs == 4
-    args = build_parser().parse_args(["energy", "--jobs", "0"])
-    assert args.jobs == 0
+    args = build_parser().parse_args(["reproduce", "--only", "table2",
+                                      "--jobs", "0"])
+    assert args.jobs == 0 and args.only == "table2"
     # Default stays serial.
     args = build_parser().parse_args(["reproduce"])
     assert args.jobs == 1 and args.cache_dir is None
@@ -392,16 +393,12 @@ def test_cli_cache_dir_builds_cache(monkeypatch, capsys, tmp_path):
     assert isinstance(cache, ResultCache)
     assert cache.path == str(tmp_path)
     assert all(seen[name][0] == 1 for name in SIMULATED)
-    # ``repro energy`` runs its one Table II outside the manifest.
-    captured = {}
-
-    def fake_table2(*_args, jobs=None, cache=None, **_kwargs):
-        captured["cache"] = cache
-        return _Stub("table2")
-
-    monkeypatch.setattr(cli, "run_table2", fake_table2)
-    assert cli.main(["energy", "--cores", "8", "--updates", "2",
+    # ``--only`` runs that one entry, with the same cache.
+    seen.clear()
+    assert cli.main(["reproduce", "--only", "table2", "--jobs", "2",
                      "--cache-dir", str(tmp_path)]) == 0
-    capsys.readouterr()
-    assert isinstance(captured["cache"], ResultCache)
-    assert captured["cache"].path == str(tmp_path)
+    assert capsys.readouterr().out == "<table2>\n"
+    assert list(seen) == ["table2"]
+    jobs, cache = seen["table2"]
+    assert jobs == 2 and isinstance(cache, ResultCache)
+    assert cache.path == str(tmp_path)

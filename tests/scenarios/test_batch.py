@@ -1,15 +1,14 @@
 """``batch`` is an accepted no-op; ``Machine.reset()`` is a fresh build.
 
-Every scenario point builds its machine fresh, so ``batch=True`` (and
-``--batch``) must change nothing — with or without ``jobs`` — and an
-adapter keeps whatever mutable state it likes without a reset method.
+Every scenario point builds its machine fresh, so ``batch=True`` must
+change nothing — with or without ``jobs`` — and an adapter keeps
+whatever mutable state it likes without a reset method.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.cli import main
 from repro.dse import Campaign, SearchSpace, parse_objectives
 from repro.engine.errors import SimulationError
 from repro.eval.runner import ResultCache
@@ -236,62 +235,10 @@ def test_campaign_batch_has_no_effect(tmp_path):
     assert journal("batch", True) == journal("plain", False)
 
 
-# -- sweep / CLI plumbing ------------------------------------------------------
+# -- sweep ---------------------------------------------------------------------
 
 
 def test_sweep_batch_equals_sequential():
     base = smoke_spec("histogram")
     axes = {"bins": [2, 4], "method": ["amo", "wait"]}
     assert sweep(base, axes, batch=True) == sweep(base, axes)
-
-
-def run_cli(capsys, argv, expect_code=0):
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == expect_code, captured.out + captured.err
-    return captured.out + captured.err
-
-
-def test_cli_sweep_batch_matches_non_batch(capsys):
-    argv = ["sweep", "histogram", "--axis", "bins=2,4",
-            "--set", "updates_per_core=2", "--cores", "8"]
-    plain = run_cli(capsys, argv)
-    batched = run_cli(capsys, argv + ["--batch"])
-    assert batched == plain
-
-
-def test_cli_sweep_batch_with_jobs_matches_jobs(capsys):
-    argv = ["sweep", "histogram", "--axis", "bins=2,4",
-            "--set", "updates_per_core=2", "--cores", "8", "--jobs", "2"]
-    assert run_cli(capsys, argv + ["--batch"]) == run_cli(capsys, argv)
-
-
-def test_cli_explore_batch_journal_identical(capsys, tmp_path):
-    argv = ["explore", "histogram", "--smoke",
-            "--axis", "bins=2,4", "--axis", "method=amo,wait",
-            "--objective", "min:cycles", "--budget", "8"]
-    from repro.dse import load_journal
-    run_cli(capsys, argv + ["--out", str(tmp_path / "plain")])
-    run_cli(capsys, argv + ["--batch", "--out", str(tmp_path / "batch")])
-    plain = load_journal(str(tmp_path / "plain" / "journal.json"))
-    batch = load_journal(str(tmp_path / "batch" / "journal.json"))
-    # wall_ms is real measured time, the one field allowed to differ.
-    for journal in (plain, batch):
-        for record in journal["evaluations"]:
-            assert record.pop("wall_ms") > 0
-    assert batch == plain
-
-
-def test_cli_explore_batch_with_jobs_journal_identical(capsys, tmp_path):
-    argv = ["explore", "histogram", "--smoke",
-            "--axis", "bins=2,4", "--objective", "min:cycles",
-            "--budget", "4", "--jobs", "2"]
-    from repro.dse import load_journal
-    run_cli(capsys, argv + ["--out", str(tmp_path / "plain")])
-    run_cli(capsys, argv + ["--batch", "--out", str(tmp_path / "batch")])
-    plain = load_journal(str(tmp_path / "plain" / "journal.json"))
-    batch = load_journal(str(tmp_path / "batch" / "journal.json"))
-    for journal in (plain, batch):
-        for record in journal["evaluations"]:
-            record.pop("wall_ms")
-    assert batch == plain
