@@ -17,9 +17,10 @@ compares:
 * a lock class — acquire the bin's lock, plain load/add/store, release
   (Fig. 4's lock-based contenders).
 
-The three lock-free methods share one update loop,
-:meth:`Histogram.update_kernel`, over :mod:`repro.sync.rmw`'s
-``fetch_add`` — the one RMW implementation.  Only the bin indices
+Each lock-free method's kernel is its loop in :mod:`repro.sync.rmw` —
+the one RMW implementation — over a stream of bin indices, a single
+generator per core (:meth:`Histogram.update_kernel` builds one for any
+stream; the factories below pick the loop once).  Only the bin indices
 differ: uniform draws for Figs. 3/4, Table II and campaigns
 (:meth:`Histogram.kernel_factory`), precomputed per-core streams for
 the Zipf workload (:meth:`Histogram.stream_factory`) and an endless
@@ -36,13 +37,19 @@ from functools import partial
 from itertools import islice
 from typing import Optional
 
-from ..cores.api import RETIRE, CoreApi
+from ..cores.api import CoreApi
 from ..machine import Machine
 from ..sync.locks import MwaitMcsLock
-from ..sync.rmw import fetch_add
+from ..sync.rmw import amo_add_loop, lrsc_loop, wait_loop
+
+#: Each lock-free update method's loop in :mod:`repro.sync.rmw` and the
+#: operand that makes it add one.
+_RMW_LOOPS = {"amo": (amo_add_loop, 1),
+              "lrsc": (lrsc_loop, (1).__add__),
+              "wait": (wait_loop, (1).__add__)}
 
 #: Histogram update methods that need no lock object.
-RMW_METHODS = ("amo", "lrsc", "wait")
+RMW_METHODS = tuple(_RMW_LOOPS)
 
 
 class Histogram:
@@ -74,15 +81,18 @@ class Histogram:
     def update_kernel(self, api: CoreApi, indices, method: str,
                       **kwargs):
         """Fetch-and-add 1 to bin ``index`` for each of ``indices``, in
-        order, through the RMW ``method`` (``kwargs`` go to
-        :func:`~repro.sync.rmw.fetch_add`)."""
-        base, word = self.base, self.word
-        # Bind the options once: a ``**kwargs`` call per update costs
-        # the hot loop a dict build even when there are none.
-        rmw = partial(fetch_add, **kwargs) if kwargs else fetch_add
-        for index in indices:
-            yield from rmw(api, base + index * word, 1, method)
-            yield RETIRE
+        order, through the RMW ``method``, retiring after each update.
+
+        Returns the method's loop from :mod:`repro.sync.rmw` over the
+        whole stream — one generator per kernel.  ``kwargs`` go to the
+        lrsc/wait loop and are ignored by ``"amo"``.
+        """
+        if method not in RMW_METHODS:
+            raise ValueError(f"unknown RMW method {method!r}")
+        loop, operand = _RMW_LOOPS[method]
+        if method == "amo":
+            kwargs = {}
+        return loop(api, self.base, self.word, indices, operand, **kwargs)
 
     def lock_kernel(self, api: CoreApi, updates: int):
         """Updates through the per-bin locks set by :meth:`attach_locks`."""
@@ -109,8 +119,13 @@ class Histogram:
             return lambda api: self.lock_kernel(api, updates)
         if method not in RMW_METHODS:
             raise ValueError(f"unknown histogram method {method!r}")
-        return lambda api: self.update_kernel(
-            api, uniform_indices(api.rng, self.num_bins, updates), method)
+        # The loop is picked here, once: each core's kernel is then
+        # built by one call, as :meth:`update_kernel` would build it.
+        loop, operand = _RMW_LOOPS[method]
+        base, word, num_bins = self.base, self.word, self.num_bins
+        return lambda api: loop(
+            api, base, word, uniform_indices(api.rng, num_bins, updates),
+            operand)
 
     def stream_factory(self, streams, method: str):
         """Kernel factory over per-core precomputed bin-index streams.
@@ -120,8 +135,10 @@ class Histogram:
         """
         if method not in RMW_METHODS:
             raise ValueError(f"unknown histogram RMW method {method!r}")
-        return lambda api: self.update_kernel(api, streams[api.core_id],
-                                              method)
+        loop, operand = _RMW_LOOPS[method]
+        base, word = self.base, self.word
+        return lambda api: loop(api, base, word, streams[api.core_id],
+                                operand)
 
     # -- verification -------------------------------------------------------------------
 

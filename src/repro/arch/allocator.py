@@ -51,13 +51,15 @@ class Allocator:
         """
         if num_words < 1:
             raise MemoryError_("allocation size must be >= 1 word")
-        num_banks = self.config.num_banks
+        # The address map's plain attributes, not the config's derived
+        # properties: queues and locks allocate thousands of words.
+        num_banks = self.address_map.num_banks
         base_word = self._low_row * num_banks + self._low_word
         end_word = base_word + num_words
         self._low_row = end_word // num_banks
         self._low_word = end_word % num_banks
         self._check_collision()
-        return base_word * self.config.word_bytes
+        return base_word * self.address_map.word_bytes
 
     def alloc_row_aligned(self, num_words: int) -> int:
         """Like :meth:`alloc_interleaved` but starting at bank 0 of a row.
@@ -80,7 +82,7 @@ class Allocator:
         same bank), so their byte addresses differ by
         ``num_banks * word_bytes``.
         """
-        if not 0 <= bank_id < self.config.num_banks:
+        if not 0 <= bank_id < self.address_map.num_banks:
             raise MemoryError_(f"bank {bank_id} out of range")
         if num_words < 1:
             raise MemoryError_("allocation size must be >= 1 word")

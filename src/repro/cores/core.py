@@ -14,6 +14,15 @@ differently (paper Table II: the whole point of LRSCwait is converting
 Issue timing: every memory instruction costs one active cycle, after
 which the request enters the network; the kernel resumes the cycle the
 response arrives.  Compute commands run at IPC 1.
+
+One method, :meth:`Core._advance`, is the core's resume loop: the start
+event, a finished compute step and the network's response delivery all
+enter it.  A response is accounted at its top (wait cycles by state,
+SC/wait outcomes, the Qnode) and then sent into the kernel, which runs
+until it issues a memory command or a compute step.  The bound
+methods the core pushes onto the event wheel (``_advance`` and
+``_send``) and the kernel's ``send`` are made once per core, not once
+per event.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from ..engine.events import MASK, SPAN
 from ..engine.simulator import Simulator
 from ..engine.stats import CoreStats
 from ..interconnect.messages import (
-    MemRequest, MemResponse, Op, Status, _req_ids)
+    MemRequest, Op, Status, _req_ids)
 from ..interconnect.network import Network
 from ..arch.address_map import AddressMap
 from .api import Compute, MemCmd, Retire
@@ -67,13 +76,18 @@ class Core:
                 sim.schedule(_delay, network.send_wakeup, arg=msg)
         else:
             send_wakeup = network.send_wakeup
-        self.qnode = Qnode(core_id, send_wakeup, self._send_stalled_wait)
+        self._send_request = network.send_request
+        # A wait op the Qnode buffered enters the network as is.
+        self.qnode = Qnode(core_id, send_wakeup, self._send_request)
         self.state = IDLE
         self._kernel: Optional[Generator] = None
         self._outstanding: Optional[MemRequest] = None
         self._wait_started = 0
         self.finish_cycle: Optional[int] = None
-        network.register_core(core_id, self.deliver_response)
+        # The wheel entries of the request path, bound once per core.
+        self._send_entry = self._send
+        self._advance_entry = self._advance
+        network.register_core(core_id, self._advance_entry)
         network.register_qnode(core_id, self.qnode.on_successor_update)
 
     # -- kernel control -----------------------------------------------------
@@ -83,6 +97,7 @@ class Core:
         if self._kernel is not None:
             raise KernelError(f"core {self.core_id} already has a kernel")
         self._kernel = kernel
+        self._resume = kernel.send
         self._set_state(ACTIVE)
 
     def start(self) -> None:
@@ -110,13 +125,54 @@ class Core:
     def _advance(self, send_value) -> None:
         """Feed the kernel until it blocks on memory or time.
 
-        A memory command is issued here: it spends the 1-cycle issue
-        stage, after which :meth:`_send` injects the request.
+        The network delivers each response here, as ``send_value``; it
+        is accounted first (wait cycles, outcome counters, the Qnode)
+        and then sent into the kernel.  A compute step or the start
+        resumes with ``None``.  A memory command is issued here: it
+        spends the 1-cycle issue stage, after which :meth:`_send`
+        injects the request.
         """
         assert self._kernel is not None
+        # The clock stands still while the kernel runs.
+        now = self.sim.now
+        if send_value is not None:
+            # ``send_value`` is the response to the outstanding request.
+            resp = send_value
+            if self._outstanding is None or resp.core_id != self.core_id:
+                raise KernelError(
+                    f"core {self.core_id}: unexpected response {resp}")
+            waited = now - self._wait_started
+            stats = self.stats
+            if self.state == SLEEPING:
+                stats.sleep_cycles += waited
+            else:
+                stats.stalled_cycles += waited
+            cb = self._telemetry.on_response
+            if cb is not None:
+                cb(now, self.core_id, resp, waited)
+            self._outstanding = None
+            if self._telemetry.on_core_state is not None:
+                self._set_state(ACTIVE)
+            else:
+                self.state = ACTIVE
+            op = resp.op
+            # Count the outcome; the Qnode filters only wait-family
+            # responses (it ignores every other op).
+            if op.is_sc:
+                if resp.status is Status.OK:
+                    stats.sc_successes += 1
+                else:
+                    stats.sc_failures += 1
+                if op is Op.SCWAIT:
+                    self.qnode.on_response(resp)
+            elif op.is_wait:
+                if resp.status is Status.QUEUE_FULL:
+                    stats.wait_rejections += 1
+                self.qnode.on_response(resp)
+        resume = self._resume
         while True:
             try:
-                cmd = self._kernel.send(send_value)
+                cmd = resume(send_value)
             except StopIteration:
                 self._finish()
                 return
@@ -129,7 +185,6 @@ class Core:
             send_value = None
             # Memory commands dominate, so they are tested first.
             if isinstance(cmd, MemCmd):
-                now = self.sim.now
                 op = cmd.op
                 # Positional build; the req_id is drawn here, as the
                 # field's default factory would.
@@ -148,7 +203,7 @@ class Core:
                     self.state = state
                 # The 1-cycle issue stage is inside the wheel's span.
                 next(self._seq)
-                self._ring[(now + 1) & MASK].append((self._send, req))
+                self._ring[(now + 1) & MASK].append((self._send_entry, req))
                 return
             if isinstance(cmd, Compute):
                 cycles = cmd.cycles
@@ -159,13 +214,14 @@ class Core:
                 stats.instructions += cycles
                 # The kernel resumes with no value; ``cycles > 0``, so
                 # the entry needs none of Simulator.schedule's checks.
-                cycle = self.sim.now + cycles
+                cycle = now + cycles
                 if cycles < SPAN:
                     next(self._seq)
-                    self._ring[cycle & MASK].append((self._advance, None))
+                    self._ring[cycle & MASK].append(
+                        (self._advance_entry, None))
                 else:
                     heappush(self._far, (cycle, next(self._seq),
-                                         (self._advance, None)))
+                                         (self._advance_entry, None)))
                 return
             if isinstance(cmd, Retire):
                 self.stats.ops_completed += cmd.count
@@ -208,49 +264,7 @@ class Core:
                 return  # stalled inside the Qnode; released later
         elif op is Op.SCWAIT:
             # The SCwait passes the Qnode on its way out (Fig. 2 / 6).
-            self.network.send_request(req, bank_id)
+            self._send_request(req, bank_id)
             self.qnode.on_scwait_pass()
             return
-        self.network.send_request(req, bank_id)
-
-    def _send_stalled_wait(self, req: MemRequest, bank_id: int) -> None:
-        """Qnode callback: a buffered wait op finally enters the network."""
-        self.network.send_request(req, bank_id)
-
-    # -- response delivery ----------------------------------------------------------------
-
-    def deliver_response(self, resp: MemResponse) -> None:
-        """Network delivery of the response to the outstanding request."""
-        if self._outstanding is None or resp.core_id != self.core_id:
-            raise KernelError(
-                f"core {self.core_id}: unexpected response {resp}")
-        now = self.sim.now
-        waited = now - self._wait_started
-        stats = self.stats
-        if self.state == SLEEPING:
-            stats.sleep_cycles += waited
-        else:
-            stats.stalled_cycles += waited
-        cb = self._telemetry.on_response
-        if cb is not None:
-            cb(now, self.core_id, resp, waited)
-        self._outstanding = None
-        if self._telemetry.on_core_state is not None:
-            self._set_state(ACTIVE)
-        else:
-            self.state = ACTIVE
-        op = resp.op
-        # Count the outcome; the Qnode filters only wait-family
-        # responses (it ignores every other op).
-        if op.is_sc:
-            if resp.status is Status.OK:
-                stats.sc_successes += 1
-            else:
-                stats.sc_failures += 1
-            if op is Op.SCWAIT:
-                self.qnode.on_response(resp)
-        elif op.is_wait:
-            if resp.status is Status.QUEUE_FULL:
-                stats.wait_rejections += 1
-            self.qnode.on_response(resp)
-        self._advance(resp)
+        self._send_request(req, bank_id)

@@ -89,7 +89,7 @@ class Qnode:
                     f"already stalled at the Qnode")
             self._stalled = (req, bank_id)
             return False
-        if self.armed:
+        if self.armed_addr is not None:
             raise ProtocolViolation(
                 f"core {self.core_id}: wait op to 0x{req.addr:x} while "
                 f"still linked into queue 0x{self.armed_addr:x} "
@@ -103,7 +103,7 @@ class Qnode:
         If the successor is already linked, the WakeUpRequest departs
         immediately — the paper's fast path (Fig. 2 step 6).
         """
-        if not self.armed:
+        if self.armed_addr is None:
             raise ProtocolViolation(
                 f"core {self.core_id}: SCwait without queue membership")
         if self.successor is not None:
@@ -146,7 +146,7 @@ class Qnode:
 
     def on_successor_update(self, msg: SuccessorUpdate) -> None:
         """A SuccessorUpdate arrives (possibly while the core sleeps)."""
-        if not self.armed or msg.addr != self.armed_addr:
+        if self.armed_addr is None or msg.addr != self.armed_addr:
             raise SimulationError(
                 f"core {self.core_id}: SuccessorUpdate for 0x{msg.addr:x} "
                 f"but node is linked to "

@@ -16,35 +16,50 @@ ring of :data:`~repro.engine.events.SPAN` per-cycle FIFO lists of
 One private loop, :meth:`Simulator._drain`, serves :meth:`~Simulator.run`
 (with or without ``until``) and :meth:`~Simulator.run_for`.  Per
 occupied cycle it moves the cycle's far entries to the front of the
-slot, runs the runaway / deadline guards, writes the clock once and
-fires the slot with a plain ``for`` loop, which also picks up the
-slot's same-cycle appends; between cycles it scans forward to the next
-occupied slot, or jumps to the far heap's top when the ring is empty.
-An event costs one tuple, one ``list.append`` and one call: no heap
-sift and no key comparison.  That matters most on the densest
-traffic, the LR/SC retry storms, where a binary heap's push and pop
-are a large share of each event (``BENCH_engine.json`` records the
-engine's self time under both queues).  The gain depends on density:
-the wheel pays a fixed cost per occupied cycle (the scan, the combined
-guard test, the clock write, the loop set-up and the slot clear), so
-at about one and a half events per occupied cycle or fewer it loses
-to a heap: the two sparsest 256-core units run 2-13% slower.
-``paper256`` averages 3.1 events per occupied cycle and
-``campaign_cold`` 2.6; timelines under two are about a fifth of
-either workload's host time (``BENCH_engine.json``, ``density``).
+slot (a far-only cycle takes them straight into its empty slot), runs
+the runaway / deadline guards, writes the clock once and fires the
+slot with a plain ``for fn, arg in slot: fn(arg)`` loop, which also
+picks up the slot's same-cycle appends; only a run with ``until``
+tests the predicate after each event.  Between cycles it scans forward
+to the next occupied slot, or jumps to the far heap's top when the
+ring is empty.  An event costs one tuple, one ``list.append`` and one
+call: no heap sift and no key comparison.  That matters most on the
+densest traffic, the LR/SC retry storms, where a binary heap's push
+and pop are a large share of each event (``BENCH_engine.json`` records
+the engine's self time under both queues).  The gain depends on
+density: the wheel pays a fixed cost per occupied cycle (the scan, the
+combined guard test, the clock write, the loop set-up and the slot
+clear), so at about one and a half events per occupied cycle or fewer
+it loses to a heap: the two sparsest 256-core units ran 2-13% slower
+when the wheel landed.  ``paper256`` averages 3.1 events per occupied
+cycle and ``campaign_cold`` 2.6; timelines under two are about a fifth
+of either workload's host time (``BENCH_engine.json``, ``density``).
 
 The rest of the per-event cost is the Python call chain of each memory
-request (core → network → bank → adapter → core), so that chain is
-fused into one frame per hop that touches each object once: the core
-issues inside its kernel loop and decodes the bank inline; the network
-reads the topology's flat route table once per message; the bank
-controller services a message in place when its port is free; the
-adapter dispatches through a per-class table indexed by ``Op.index``;
-and the core calls its state-change hook only while a ``core_state``
-subscriber is attached.  Every observation site on that chain is one
-load and one ``is not None`` branch on the
-:class:`~repro.telemetry.hub.Telemetry` hub, the simulator's only
-recording path.
+request, so that chain is kept to one call per hop, each touching its
+object once.  A request climbs
+
+* the kernel's generator: one RMW kernel is one generator
+  (:mod:`repro.sync.rmw`), so the core resumes one frame per command;
+* ``Core._advance``, which issues the command (the request object, the
+  counters, the 1-cycle issue-stage entry), and after that stage
+  ``Core._send``, which decodes the bank inline;
+* ``Network.send_request``, one flat read of the topology's route
+  table;
+* ``BankController.receive``, which services the message in place when
+  the port is free by calling the adapter class's service function for
+  the op: a table indexed by ``Op.index``, built once per class;
+* ``BankController.respond`` and ``Network.send_response``, which
+  delivers the response straight into ``Core._advance``: the response
+  accounting sits at its top, and the kernel resumes in the same call.
+
+Colibri's SuccessorUpdates and WakeUpRequests take the same network
+paths with the same direct pushes.  The core calls its state-change
+hook only while a ``core_state`` subscriber is attached, and every
+observation site on that chain is one load and one ``is not None``
+branch on the :class:`~repro.telemetry.hub.Telemetry` hub, the
+simulator's only recording path.  ``tests/engine/test_call_budget.py``
+pins the number of calls per request for each RMW method.
 
 Those hops push onto :attr:`Simulator.ring` / :attr:`Simulator.far`
 directly, in the one push shape :meth:`Simulator.schedule` uses: tick
@@ -63,6 +78,7 @@ other caller.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from operator import length_hint
 try:
     from operator import call
 except ImportError:     # Python 3.10: ``operator.call`` is new in 3.11
@@ -233,28 +249,43 @@ class Simulator:
                         return True     # the far entries stay far
                     if far and far[0][0] == cycle:
                         # Far entries were pushed a span or more ahead,
-                        # so before every ring entry of this cycle.
-                        due = []
-                        while far and far[0][0] == cycle:
-                            due.append(_heappop(far)[2])
-                        slot[:0] = due
+                        # so before every ring entry of this cycle; a
+                        # far-only cycle takes them straight in.
+                        if slot:
+                            due = []
+                            while far and far[0][0] == cycle:
+                                due.append(_heappop(far)[2])
+                            slot[:0] = due
+                        else:
+                            while far and far[0][0] == cycle:
+                                slot.append(_heappop(far)[2])
                     if cycle > limit:
                         raise SimulationError(
                             f"exceeded max_cycles={max_cycles} "
                             f"(runaway simulation?)")
                 now = self.now = cycle
-            try:
-                for entry in slot:
-                    entry[0](entry[1])
-                    if until is not None and until():
-                        del slot[:fired_through(slot, entry)]
-                        return True
-            except BaseException:
-                # What fired, the raising entry included, leaves the
-                # slot, so a caller that catches and runs on fires it
-                # once only and ``pending_events`` stays exact.
-                del slot[:fired_through(slot, entry)]
-                raise
+            # What fired, the raising entry included, leaves the slot
+            # on an exception, so a caller that catches and runs on
+            # fires it once only and ``pending_events`` stays exact.
+            if until is None:
+                entries = iter(slot)
+                try:
+                    for fn, arg in entries:
+                        fn(arg)
+                except BaseException:
+                    # The iterator stands just past the raising entry.
+                    del slot[:len(slot) - length_hint(entries)]
+                    raise
+            else:
+                try:
+                    for entry in slot:
+                        entry[0](entry[1])
+                        if until():
+                            del slot[:fired_through(slot, entry)]
+                            return True
+                except BaseException:
+                    del slot[:fired_through(slot, entry)]
+                    raise
             slot.clear()
             cycle += 1
             slot = ring[cycle & MASK]

@@ -24,10 +24,8 @@ through the ``Op.value`` descriptor:
 * ``is_wait`` / ``is_amo`` — membership in :data:`WAIT_OPS` /
   :data:`AMO_OPS`, from which they are derived;
 * ``is_sc`` — SC or SCwait, the ops whose response reports success;
-* ``index`` — the member's position in :class:`Op`, for tuple tables;
-* ``kind`` — how the base adapter services it: ``"load"`` (LW),
-  ``"store"`` (SW), ``"amo"`` (:data:`AMO_OPS`) or ``"reserved"`` (the
-  LR/SC/wait family a variant's ``handle_reserved`` serves).
+* ``index`` — the member's position in :class:`Op`, for tuple tables
+  such as each adapter class's service table.
 
 The frozensets stay the public API; the attributes are set from them
 once, at import, so the two cannot disagree.
@@ -66,7 +64,6 @@ class Op(Enum):
     is_amo: bool
     is_sc: bool
     index: int
-    kind: str
 
 
 #: Operations that modify memory when they succeed.
@@ -91,8 +88,6 @@ for _index, _op in enumerate(Op):
     _op.is_wait = _op in WAIT_OPS
     _op.is_amo = _op in AMO_OPS
     _op.is_sc = _op is Op.SC or _op is Op.SCWAIT
-    _op.kind = ("load" if _op is Op.LW else "store" if _op is Op.SW
-                else "amo" if _op.is_amo else "reserved")
 del _index, _op
 
 

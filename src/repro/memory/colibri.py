@@ -67,7 +67,8 @@ class _ColibriQueue:
 class ColibriAdapter(AtomicAdapter):
     """Distributed-queue LRwait controller with Mwait support."""
 
-    EXTRA_OPS = frozenset({Op.LRWAIT, Op.SCWAIT, Op.MWAIT})
+    OP_METHODS = {Op.LRWAIT: "_wait_op", Op.MWAIT: "_wait_op",
+                  Op.SCWAIT: "_scwait_op"}
 
     def __init__(self, controller, num_addresses: int = 4,
                  strict: bool = True) -> None:
@@ -83,7 +84,8 @@ class ColibriAdapter(AtomicAdapter):
         Colibri's waiters are scattered over per-address ``pending``
         maps and monitoring Mwait heads, so the count is recomputed via
         :meth:`pending_waiters` — only when a probe is subscribed, and
-        only after operations that can change it.
+        only after operations that can change it.  The request path
+        tests for a subscriber before calling it.
         """
         cb = self.ctrl.telemetry.on_queue_depth
         if cb is not None:
@@ -94,15 +96,15 @@ class ColibriAdapter(AtomicAdapter):
 
     # -- enqueue: LRwait / Mwait ------------------------------------------------
 
-    def handle_reserved(self, req: MemRequest) -> None:
-        if req.op in (Op.LRWAIT, Op.MWAIT):
-            self._handle_wait(req)
+    def _wait_op(self, req: MemRequest) -> None:
+        self._handle_wait(req)
+        if self.ctrl.telemetry.on_queue_depth is not None:
             self._note_depth()
-        elif req.op is Op.SCWAIT:
-            self._handle_scwait(req)
+
+    def _scwait_op(self, req: MemRequest) -> None:
+        self._handle_scwait(req)
+        if self.ctrl.telemetry.on_queue_depth is not None:
             self._note_depth()
-        else:
-            super().handle_reserved(req)
 
     def _handle_wait(self, req: MemRequest) -> None:
         queue = self._queues.get(req.addr)
@@ -120,7 +122,7 @@ class ColibriAdapter(AtomicAdapter):
                 prev_core=previous_tail, successor=req.core_id))
             return
         if len(self._queues) >= self.num_addresses:
-            self.ctrl.respond(req, value=0, status=Status.QUEUE_FULL)
+            self.ctrl.respond(req, 0, Status.QUEUE_FULL)
             return
         queue = _ColibriQueue(addr=req.addr, head=req.core_id,
                               tail=req.core_id)
@@ -138,7 +140,7 @@ class ColibriAdapter(AtomicAdapter):
             queue.reservation_valid = True
             queue.head_op = Op.LRWAIT
             self.ctrl.stats.reservations_placed += 1
-            self.ctrl.respond(req, value=value)
+            self.ctrl.respond(req, value)
             return
         # Mwait: completes immediately when memory already moved on.
         if req.expected is None or value != req.expected:
@@ -160,7 +162,7 @@ class ColibriAdapter(AtomicAdapter):
                 raise ProtocolViolation(
                     f"SCwait from core {req.core_id} to 0x{req.addr:x} "
                     f"without holding the queue head")
-            self.ctrl.respond(req, value=1, status=Status.SC_FAIL)
+            self.ctrl.respond(req, 1, Status.SC_FAIL)
             return
         assert queue is not None
         if queue.reservation_valid:
@@ -195,13 +197,11 @@ class ColibriAdapter(AtomicAdapter):
             if cb is not None:
                 cb(self.ctrl.sim.now, self.ctrl.bank_id, "colibri_free",
                    f"queue @0x{queue.addr:x}")
-            self.ctrl.respond(req, value=value, status=status,
-                              successor_pending=False)
+            self.ctrl.respond(req, value, status, False)
         else:
             queue.head_valid = False
             queue.head_op = None
-            self.ctrl.respond(req, value=value, status=status,
-                              successor_pending=True)
+            self.ctrl.respond(req, value, status, True)
 
     # -- WakeUpRequest: promote the successor ------------------------------------------
 
@@ -223,7 +223,8 @@ class ColibriAdapter(AtomicAdapter):
         queue.head = successor
         queue.head_valid = True
         self._serve_head(queue, pending)
-        self._note_depth()
+        if self.ctrl.telemetry.on_queue_depth is not None:
+            self._note_depth()
 
     # -- write monitoring ----------------------------------------------------------------
 

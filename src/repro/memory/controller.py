@@ -23,6 +23,7 @@ from ..engine.stats import BankStats
 from ..interconnect.messages import (
     MemRequest,
     MemResponse,
+    Op,
     Status,
     SuccessorUpdate,
     WakeUpRequest,
@@ -31,6 +32,13 @@ from ..interconnect.network import Network
 from .adapter import AtomicAdapter
 from .bank import SpmBank
 from .variants import VariantSpec, get_variant
+
+
+def _handle(adapter, req) -> None:
+    adapter.handle(req)
+
+
+_HANDLE_EVERY_OP = (_handle,) * len(Op)
 
 
 def adapter_factory(variant: VariantSpec, num_cores: int,
@@ -84,6 +92,10 @@ class BankController:
         self._num_banks = address_map.num_banks
         self._memory_bytes = address_map.memory_bytes
         self.adapter = make_adapter(self)
+        #: The adapter class's per-op service functions; an adapter
+        #: that is not an :class:`AtomicAdapter` serves every op
+        #: through its ``handle``.
+        self._serve = getattr(self.adapter, "_SERVE", _HANDLE_EVERY_OP)
         self.service_cycles = address_map.config.latency.bank_cycles
         #: First cycle at which the port can accept the next request.
         self._port_free_at = 0
@@ -93,7 +105,12 @@ class BankController:
 
     def receive(self, msg) -> None:
         """Network delivery: service the message now if the port is
-        free, else queue it for the cycle the port frees up."""
+        free, else queue it for the cycle the port frees up.
+
+        A free port services the message right here: one call of the
+        adapter class's service function for the op (its ``_SERVE``
+        table), or of ``handle_wakeup`` for a Colibri WakeUpRequest.
+        """
         sim = self.sim
         now = sim.now
         start = self._port_free_at
@@ -108,19 +125,28 @@ class BankController:
         if cb is not None:
             cb(now, self.bank_id, msg, start - now)
         if start == now:
-            self._service(msg)
+            # The service body; :meth:`_serve_queued` is the same for a
+            # message that waited for the port.
+            stats.accesses += 1
+            cb = self.telemetry.on_bank_service
+            if cb is not None:
+                cb(now, self.bank_id, msg)
+            if isinstance(msg, WakeUpRequest):
+                self.adapter.handle_wakeup(msg)
+            else:
+                self._serve[msg.op.index](self.adapter, msg)
         else:
             # ``start > now``: the entry needs none of schedule_at's
             # checks.
             if start - now < SPAN:
                 next(sim.seq)
-                sim.ring[start & MASK].append((self._service, msg))
+                sim.ring[start & MASK].append((self._serve_queued, msg))
             else:
                 heappush(sim.far,
-                         (start, next(sim.seq), (self._service, msg)))
+                         (start, next(sim.seq), (self._serve_queued, msg)))
 
-    def _service(self, msg) -> None:
-        """The one service body: the message holds the port this cycle."""
+    def _serve_queued(self, msg) -> None:
+        """A queued message holds the port this cycle: service it."""
         self.stats.accesses += 1
         cb = self.telemetry.on_bank_service
         if cb is not None:
@@ -128,7 +154,7 @@ class BankController:
         if isinstance(msg, WakeUpRequest):
             self.adapter.handle_wakeup(msg)
         else:
-            self.adapter.handle(msg)
+            self._serve[msg.op.index](self.adapter, msg)
 
     # -- adapter service interface -------------------------------------------------
 

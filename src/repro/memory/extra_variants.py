@@ -72,7 +72,7 @@ class LrscBackoffAdapter(LrscAdapter):
         self.ctrl.sim.schedule(delay, self._respond_failure, arg=req)
 
     def _respond_failure(self, req: MemRequest) -> None:
-        self.ctrl.respond(req, value=1, status=Status.SC_FAIL)
+        self.ctrl.respond(req, 1, Status.SC_FAIL)
 
     @property
     def held_responses(self) -> int:
@@ -99,7 +99,7 @@ class TicketAdapter(LrscWaitAdapter):
     def _handle_wait(self, req: MemRequest) -> None:
         if req.addr not in self._queues \
                 and len(self._queues) >= self.num_addresses:
-            self.ctrl.respond(req, value=0, status=Status.QUEUE_FULL)
+            self.ctrl.respond(req, 0, Status.QUEUE_FULL)
             return
         super()._handle_wait(req)
 

@@ -30,7 +30,7 @@ from .adapter import AtomicAdapter
 class LrscAdapter(AtomicAdapter):
     """Single-reservation-slot LR/SC unit (the paper's LRSC baseline)."""
 
-    EXTRA_OPS = frozenset({Op.LR, Op.SC})
+    OP_METHODS = {Op.LR: "_handle_lr", Op.SC: "_handle_sc"}
 
     def __init__(self, controller) -> None:
         super().__init__(controller)
@@ -39,21 +39,13 @@ class LrscAdapter(AtomicAdapter):
 
     # -- protocol ------------------------------------------------------------
 
-    def handle_reserved(self, req: MemRequest) -> None:
-        if req.op is Op.LR:
-            self._handle_lr(req)
-        elif req.op is Op.SC:
-            self._handle_sc(req)
-        else:
-            super().handle_reserved(req)
-
     def _handle_lr(self, req: MemRequest) -> None:
         if self._reservation is not None:
             # The newcomer evicts whoever held the slot.
             self.ctrl.stats.reservations_invalidated += 1
         self._reservation = (req.core_id, req.addr)
         self.ctrl.stats.reservations_placed += 1
-        self.ctrl.respond(req, value=self.ctrl.read(req.addr))
+        self.ctrl.respond(req, self.ctrl.read(req.addr))
 
     def _handle_sc(self, req: MemRequest) -> None:
         if self._reservation == (req.core_id, req.addr):
@@ -62,9 +54,9 @@ class LrscAdapter(AtomicAdapter):
             # The SC's own store must not be able to fail a *future* SC
             # of the same core, so clear before the on_write sweep.
             self.on_write(req.addr)
-            self.ctrl.respond(req, value=0, status=Status.OK)
+            self.ctrl.respond(req, 0, Status.OK)
         else:
-            self.ctrl.respond(req, value=1, status=Status.SC_FAIL)
+            self.ctrl.respond(req, 1, Status.SC_FAIL)
 
     def on_write(self, addr: int) -> None:
         """A committed store kills a matching reservation (§III step 3)."""

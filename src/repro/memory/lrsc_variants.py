@@ -36,28 +36,26 @@ from .adapter import AtomicAdapter
 class LrscTableAdapter(AtomicAdapter):
     """Per-core reservation table (non-blocking LR/SC, ATUN-style)."""
 
-    EXTRA_OPS = frozenset({Op.LR, Op.SC})
+    OP_METHODS = {Op.LR: "_handle_lr", Op.SC: "_handle_sc"}
 
     def __init__(self, controller) -> None:
         super().__init__(controller)
         #: core_id -> reserved byte address (one live slot per core).
         self._table: dict = {}
 
-    def handle_reserved(self, req: MemRequest) -> None:
-        if req.op is Op.LR:
-            self._table[req.core_id] = req.addr
-            self.ctrl.stats.reservations_placed += 1
-            self.ctrl.respond(req, value=self.ctrl.read(req.addr))
-        elif req.op is Op.SC:
-            if self._table.get(req.core_id) == req.addr:
-                del self._table[req.core_id]
-                self.ctrl.write(req.addr, req.value)
-                self.on_write(req.addr)
-                self.ctrl.respond(req, value=0, status=Status.OK)
-            else:
-                self.ctrl.respond(req, value=1, status=Status.SC_FAIL)
+    def _handle_lr(self, req: MemRequest) -> None:
+        self._table[req.core_id] = req.addr
+        self.ctrl.stats.reservations_placed += 1
+        self.ctrl.respond(req, self.ctrl.read(req.addr))
+
+    def _handle_sc(self, req: MemRequest) -> None:
+        if self._table.get(req.core_id) == req.addr:
+            del self._table[req.core_id]
+            self.ctrl.write(req.addr, req.value)
+            self.on_write(req.addr)
+            self.ctrl.respond(req, 0, Status.OK)
         else:
-            super().handle_reserved(req)
+            self.ctrl.respond(req, 1, Status.SC_FAIL)
 
     def on_write(self, addr: int) -> None:
         """A committed store kills every reservation on that address."""
@@ -79,29 +77,27 @@ class LrscTableAdapter(AtomicAdapter):
 class LrscBankAdapter(AtomicAdapter):
     """Bank-granularity reservations (one bit per core, GRVI-style)."""
 
-    EXTRA_OPS = frozenset({Op.LR, Op.SC})
+    OP_METHODS = {Op.LR: "_handle_lr", Op.SC: "_handle_sc"}
 
     def __init__(self, controller) -> None:
         super().__init__(controller)
         #: Cores currently holding the bank-wide reservation bit.
         self._reserved: set = set()
 
-    def handle_reserved(self, req: MemRequest) -> None:
-        if req.op is Op.LR:
-            self._reserved.add(req.core_id)
-            self.ctrl.stats.reservations_placed += 1
-            self.ctrl.respond(req, value=self.ctrl.read(req.addr))
-        elif req.op is Op.SC:
-            if req.core_id in self._reserved:
-                # The winning SC's own store clears everyone, self
-                # included (the write is a store to the bank).
-                self.ctrl.write(req.addr, req.value)
-                self.on_write(req.addr)
-                self.ctrl.respond(req, value=0, status=Status.OK)
-            else:
-                self.ctrl.respond(req, value=1, status=Status.SC_FAIL)
+    def _handle_lr(self, req: MemRequest) -> None:
+        self._reserved.add(req.core_id)
+        self.ctrl.stats.reservations_placed += 1
+        self.ctrl.respond(req, self.ctrl.read(req.addr))
+
+    def _handle_sc(self, req: MemRequest) -> None:
+        if req.core_id in self._reserved:
+            # The winning SC's own store clears everyone, self included
+            # (the write is a store to the bank).
+            self.ctrl.write(req.addr, req.value)
+            self.on_write(req.addr)
+            self.ctrl.respond(req, 0, Status.OK)
         else:
-            super().handle_reserved(req)
+            self.ctrl.respond(req, 1, Status.SC_FAIL)
 
     def on_write(self, addr: int) -> None:
         """Any committed store to the bank clears every bit — the

@@ -46,7 +46,8 @@ class _Waiter:
 class LrscWaitAdapter(AtomicAdapter):
     """Reservation-queue adapter: LRSCwait_q, with q=None meaning ideal."""
 
-    EXTRA_OPS = frozenset({Op.LRWAIT, Op.SCWAIT, Op.MWAIT})
+    OP_METHODS = {Op.LRWAIT: "_handle_wait", Op.MWAIT: "_handle_wait",
+                  Op.SCWAIT: "_handle_scwait"}
 
     def __init__(self, controller, queue_slots: Optional[int],
                  strict: bool = True) -> None:
@@ -63,17 +64,9 @@ class LrscWaitAdapter(AtomicAdapter):
 
     # -- protocol ---------------------------------------------------------------
 
-    def handle_reserved(self, req: MemRequest) -> None:
-        if req.op in (Op.LRWAIT, Op.MWAIT):
-            self._handle_wait(req)
-        elif req.op is Op.SCWAIT:
-            self._handle_scwait(req)
-        else:
-            super().handle_reserved(req)
-
     def _handle_wait(self, req: MemRequest) -> None:
         if self.queue_slots is not None and self._occupancy >= self.queue_slots:
-            self.ctrl.respond(req, value=0, status=Status.QUEUE_FULL)
+            self.ctrl.respond(req, 0, Status.QUEUE_FULL)
             return
         if self.strict:
             key = (req.core_id, req.addr)
@@ -106,12 +99,12 @@ class LrscWaitAdapter(AtomicAdapter):
                 head.served = True
                 head.reservation_valid = True
                 self.ctrl.stats.reservations_placed += 1
-                self.ctrl.respond(head.req, value=value)
+                self.ctrl.respond(head.req, value)
                 return
             # Mwait: complete now if the world already changed.
             if head.req.expected is None or value != head.req.expected:
                 self._pop(addr)
-                self.ctrl.respond(head.req, value=value)
+                self.ctrl.respond(head.req, value)
                 queue = self._queues.get(addr)
                 continue
             head.served = True
@@ -130,19 +123,19 @@ class LrscWaitAdapter(AtomicAdapter):
                 raise ProtocolViolation(
                     f"SCwait from core {req.core_id} to 0x{req.addr:x} "
                     f"without being the served queue head")
-            self.ctrl.respond(req, value=1, status=Status.SC_FAIL)
+            self.ctrl.respond(req, 1, Status.SC_FAIL)
             return
         assert head is not None
         valid = head.reservation_valid
         self._pop(req.addr)
         if valid:
             self.ctrl.write(req.addr, req.value)
-            self.ctrl.respond(req, value=0, status=Status.OK)
+            self.ctrl.respond(req, 0, Status.OK)
             # The SCwait's own store wakes monitoring Mwaits but must
             # not clear the (already popped) writer's state.
             self.on_write(req.addr)
         else:
-            self.ctrl.respond(req, value=1, status=Status.SC_FAIL)
+            self.ctrl.respond(req, 1, Status.SC_FAIL)
         self._serve_head(req.addr)
 
     def _pop(self, addr: int) -> None:
@@ -175,7 +168,7 @@ class LrscWaitAdapter(AtomicAdapter):
         # _serve_head cascade through any further waiters.
         value = self.ctrl.read(addr)
         self._pop(addr)
-        self.ctrl.respond(head.req, value=value)
+        self.ctrl.respond(head.req, value)
         self._serve_head(addr)
 
     # -- introspection ----------------------------------------------------------------

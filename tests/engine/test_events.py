@@ -121,6 +121,27 @@ def test_a_raising_callback_leaves_only_the_unfired_entries_queued():
     assert fired == ["far", "before", "boom", "after", "next cycle"]
 
 
+def test_a_raising_repeat_of_a_fired_entry_leaves_exactly_the_rest():
+    """The same ``(fn, arg)`` twice in one slot, the second raising:
+    only the fired prefix leaves, on a far-only cycle too."""
+    sim = Simulator()
+    fired = []
+
+    def second_raises(tag):
+        fired.append(tag)
+        if fired.count(tag) == 2:
+            raise RuntimeError("second call")
+
+    for _ in range(2):
+        sim.schedule(SPAN + 3, second_raises, arg="x")  # far-only cycle
+    sim.schedule(SPAN + 3, fired.append, arg="after")
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert fired == ["x", "x"] and sim.pending_events == 1
+    sim.run()
+    assert fired == ["x", "x", "after"] and sim.now == SPAN + 3
+
+
 def test_every_scheduled_event_ticks_the_counter():
     sim = Simulator()
     sim.schedule(1, lambda: None)
