@@ -19,9 +19,8 @@ compares:
 
 Each lock-free method's kernel is its loop in :mod:`repro.sync.rmw` —
 the one RMW implementation — over a stream of bin indices, a single
-generator per core (:meth:`Histogram.update_kernel` builds one for any
-stream; the factories below pick the loop once).  Only the bin indices
-differ: uniform draws for Figs. 3/4, Table II and campaigns
+generator per core, chosen by :func:`repro.sync.rmw.add_loop`.  Only
+the bin indices differ: uniform draws for Figs. 3/4, Table II and campaigns
 (:meth:`Histogram.kernel_factory`), precomputed per-core streams for
 the Zipf workload (:meth:`Histogram.stream_factory`) and an endless
 uniform stream for Fig. 5's pollers
@@ -40,16 +39,7 @@ from typing import Optional
 from ..cores.api import CoreApi
 from ..machine import Machine
 from ..sync.locks import MwaitMcsLock
-from ..sync.rmw import amo_add_loop, lrsc_loop, wait_loop
-
-#: Each lock-free update method's loop in :mod:`repro.sync.rmw` and the
-#: operand that makes it add one.
-_RMW_LOOPS = {"amo": (amo_add_loop, 1),
-              "lrsc": (lrsc_loop, (1).__add__),
-              "wait": (wait_loop, (1).__add__)}
-
-#: Histogram update methods that need no lock object.
-RMW_METHODS = tuple(_RMW_LOOPS)
+from ..sync.rmw import RMW_METHODS, add_loop
 
 
 class Histogram:
@@ -83,16 +73,12 @@ class Histogram:
         """Fetch-and-add 1 to bin ``index`` for each of ``indices``, in
         order, through the RMW ``method``, retiring after each update.
 
-        Returns the method's loop from :mod:`repro.sync.rmw` over the
-        whole stream — one generator per kernel.  ``kwargs`` go to the
-        lrsc/wait loop and are ignored by ``"amo"``.
+        Returns the method's loop (:func:`~repro.sync.rmw.add_loop`)
+        over the whole stream — one generator per kernel.  ``kwargs``
+        go to the lrsc/wait loop and are ignored by ``"amo"``.
         """
-        if method not in RMW_METHODS:
-            raise ValueError(f"unknown RMW method {method!r}")
-        loop, operand = _RMW_LOOPS[method]
-        if method == "amo":
-            kwargs = {}
-        return loop(api, self.base, self.word, indices, operand, **kwargs)
+        loop, operand = add_loop(method, 1, **kwargs)
+        return loop(api, self.base, self.word, indices, operand)
 
     def lock_kernel(self, api: CoreApi, updates: int):
         """Updates through the per-bin locks set by :meth:`attach_locks`."""
@@ -119,9 +105,9 @@ class Histogram:
             return lambda api: self.lock_kernel(api, updates)
         if method not in RMW_METHODS:
             raise ValueError(f"unknown histogram method {method!r}")
-        # The loop is picked here, once: each core's kernel is then
-        # built by one call, as :meth:`update_kernel` would build it.
-        loop, operand = _RMW_LOOPS[method]
+        # The loop is chosen once per factory: a call per core would
+        # add to every machine's set-up (256 kernels at 256 cores).
+        loop, operand = add_loop(method, 1)
         base, word, num_bins = self.base, self.word, self.num_bins
         return lambda api: loop(
             api, base, word, uniform_indices(api.rng, num_bins, updates),
@@ -135,7 +121,7 @@ class Histogram:
         """
         if method not in RMW_METHODS:
             raise ValueError(f"unknown histogram RMW method {method!r}")
-        loop, operand = _RMW_LOOPS[method]
+        loop, operand = add_loop(method, 1)
         base, word = self.base, self.word
         return lambda api: loop(api, base, word, streams[api.core_id],
                                 operand)

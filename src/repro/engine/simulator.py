@@ -53,12 +53,11 @@ object once.  A request climbs
   delivers the response straight into ``Core._advance``: the response
   accounting sits at its top, and the kernel resumes in the same call.
 
-Colibri's SuccessorUpdates and WakeUpRequests take the same network
-paths with the same direct pushes.  The core calls its state-change
-hook only while a ``core_state`` subscriber is attached, and every
-observation site on that chain is one load and one ``is not None``
-branch on the :class:`~repro.telemetry.hub.Telemetry` hub, the
-simulator's only recording path.  ``tests/engine/test_call_budget.py``
+The core calls its state-change hook only while a ``core_state``
+subscriber is attached, and every observation site on that chain is
+one load and one ``is not None`` branch on the
+:class:`~repro.telemetry.hub.Telemetry` hub, the simulator's only
+recording path.  ``tests/engine/test_call_budget.py``
 pins the number of calls per request for each RMW method.
 
 Those hops push onto :attr:`Simulator.ring` / :attr:`Simulator.far`
@@ -72,7 +71,7 @@ construction: the 1-cycle issue stage, a ``Compute`` of ``cycles > 0``,
 a route latency (``LatencyConfig.validate`` guarantees each is
 ``>= 1``) or a port slot, which is never before its arrival.
 :meth:`schedule` and :meth:`schedule_at` keep their checks for every
-other caller.
+other caller, Colibri's SuccessorUpdates and WakeUpRequests among them.
 """
 
 from __future__ import annotations

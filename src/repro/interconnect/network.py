@@ -233,14 +233,7 @@ class Network:
         cb = self._telemetry.on_message
         if cb is not None:
             cb(now, "successor_update", cls, latency, hops)
-        # A route latency is >= 1, as in send_response.
-        if latency < SPAN:
-            next(self._seq)
-            self._ring[(now + latency) & MASK].append(
-                (self._qnode_handlers[core_id], msg))
-        else:
-            heappush(self._far, (now + latency, next(self._seq),
-                                 (self._qnode_handlers[core_id], msg)))
+        self.sim.schedule(latency, self._qnode_handlers[core_id], msg)
 
     def send_wakeup(self, msg: WakeUpRequest) -> None:
         """Qnode → bank: Colibri dequeue/wake message.
@@ -270,11 +263,4 @@ class Network:
             slot = self._tile_ingress[bank_tile].next_slot(delivery)
             stats.ingress_wait_cycles += slot - delivery
             delivery = slot
-        # In the future, as in send_request.
-        if delivery - now < SPAN:
-            next(self._seq)
-            self._ring[delivery & MASK].append(
-                (self._bank_handlers[bank_id], msg))
-        else:
-            heappush(self._far, (delivery, next(self._seq),
-                                 (self._bank_handlers[bank_id], msg)))
+        self.sim.schedule_at(delivery, self._bank_handlers[bank_id], msg)

@@ -167,9 +167,11 @@ class AtomicAdapter:
         ctrl.respond(req, old)
 
     def _amo_result(self, op: Op, old: int, operand: int) -> int:
-        """Combinational AMO ALU (max/min are signed, as amomax/amomin)."""
-        if op is Op.AMO_ADD:
-            return old + operand
+        """Combinational AMO ALU (max/min are signed, as amomax/amomin).
+
+        ``amoadd`` does not come here: :meth:`_amo_add`, its own
+        service function, adds in place.
+        """
         if op is Op.AMO_SWAP:
             return operand
         if op is Op.AMO_AND:

@@ -84,8 +84,7 @@ class ColibriAdapter(AtomicAdapter):
         Colibri's waiters are scattered over per-address ``pending``
         maps and monitoring Mwait heads, so the count is recomputed via
         :meth:`pending_waiters` — only when a probe is subscribed, and
-        only after operations that can change it.  The request path
-        tests for a subscriber before calling it.
+        only after operations that can change it.
         """
         cb = self.ctrl.telemetry.on_queue_depth
         if cb is not None:
@@ -98,13 +97,11 @@ class ColibriAdapter(AtomicAdapter):
 
     def _wait_op(self, req: MemRequest) -> None:
         self._handle_wait(req)
-        if self.ctrl.telemetry.on_queue_depth is not None:
-            self._note_depth()
+        self._note_depth()
 
     def _scwait_op(self, req: MemRequest) -> None:
         self._handle_scwait(req)
-        if self.ctrl.telemetry.on_queue_depth is not None:
-            self._note_depth()
+        self._note_depth()
 
     def _handle_wait(self, req: MemRequest) -> None:
         queue = self._queues.get(req.addr)
@@ -223,8 +220,7 @@ class ColibriAdapter(AtomicAdapter):
         queue.head = successor
         queue.head_valid = True
         self._serve_head(queue, pending)
-        if self.ctrl.telemetry.on_queue_depth is not None:
-            self._note_depth()
+        self._note_depth()
 
     # -- write monitoring ----------------------------------------------------------------
 

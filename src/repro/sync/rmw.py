@@ -25,6 +25,10 @@ per-update generator and no ``yield from`` hop.  The loops are
   short randomized wait — this is the software contract §III-B
   describes.
 
+:func:`add_loop` picks the loop and its operand for a method name; it
+is the one method dispatch, used by :func:`fetch_add` and the
+histogram kernels.
+
 The single-word helpers :func:`amo_fetch_add`, :func:`lrsc_fetch_modify`,
 :func:`wait_fetch_modify` and :func:`fetch_add` are the same loops over a
 one-element stream with no retire; use them with ``yield from`` inside
@@ -44,6 +48,7 @@ is modelled by ``compute_cycles``.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 from ..cores.api import RETIRE, Compute, CoreApi, MemCmd, Retire
@@ -52,6 +57,9 @@ from .backoff import (
     DEFAULT_LRSC_BACKOFF,
     QUEUE_FULL_BACKOFF,
 )
+
+#: The ``method`` names :func:`add_loop` accepts.
+RMW_METHODS = ("amo", "lrsc", "wait")
 
 #: The default one-cycle modify step, shared by every update.
 _COMPUTE_1 = Compute(1)
@@ -170,20 +178,32 @@ def wait_fetch_modify(api: CoreApi, addr: int,
                      full_backoff, None)
 
 
-def fetch_add(api: CoreApi, addr: int, value: int, method: str,
-              **kwargs):
-    """Fetch-and-add through the primitive named by ``method``.
+def add_loop(method: str, value: int, **options):
+    """The loop that fetch-and-adds ``value`` through the primitive
+    named by ``method``: ``(loop, operand)``, called as ``loop(api,
+    base, word, indices, operand)`` (plus ``retire=``).
 
-    ``method`` is one of ``"amo"``, ``"lrsc"``, ``"wait"`` — the same
-    naming the evaluation harness uses for histogram variants.  Returns
-    the chosen loop's generator over one word (use with ``yield
-    from``); ``kwargs`` go to the lrsc/wait loop and are ignored by
+    This is the one method dispatch, shared by :func:`fetch_add` and
+    the histogram kernels.  ``method`` is one of :data:`RMW_METHODS` —
+    the same naming the evaluation harness uses for histogram variants;
+    ``options`` are bound to the lrsc/wait loop and ignored by
     ``"amo"``.
     """
     if method == "amo":
-        return amo_fetch_add(api, addr, value)
+        return amo_add_loop, value
     if method == "lrsc":
-        return lrsc_fetch_modify(api, addr, value.__add__, **kwargs)
-    if method == "wait":
-        return wait_fetch_modify(api, addr, value.__add__, **kwargs)
-    raise ValueError(f"unknown RMW method {method!r}")
+        loop = lrsc_loop
+    elif method == "wait":
+        loop = wait_loop
+    else:
+        raise ValueError(f"unknown RMW method {method!r}")
+    return (partial(loop, **options) if options else loop), value.__add__
+
+
+def fetch_add(api: CoreApi, addr: int, value: int, method: str,
+              **kwargs):
+    """Fetch-and-add through the primitive named by ``method``
+    (:func:`add_loop` on one word, use with ``yield from``); returns
+    the old value."""
+    loop, operand = add_loop(method, value, **kwargs)
+    return loop(api, addr, 0, _ONE, operand, retire=None)

@@ -29,7 +29,7 @@ SRC = os.path.dirname(repro.__file__) + os.sep
 #: ``(variant, method) -> calls per request``, at most.
 BUDGETS = {
     ("lrsc", "lrsc"): 11.94,
-    ("colibri", "wait"): 20.91,
+    ("colibri", "wait"): 23.90,
     ("amo", "amo"): 14.03,
     ("lrscwait:ideal", "wait"): 16.42,
 }
