@@ -1,12 +1,15 @@
-"""Kernel goldens: the RMW, Zipf, matmul and Fig. 5 kernels replay the
-recorded runs bit for bit.
+"""Kernel goldens: the RMW, Zipf, lock, queue, matmul and Fig. 5 kernels
+replay the recorded runs bit for bit.
 
 Each case runs a registered workload at smoke scale and compares three
 things with ``data/kernel_goldens.json``: the final cycle count, the
 final shared data (histogram bins, the C matrix) and a SHA-256 of the
 canonical JSON of the full counter tree.  The ``interference`` cases
 also pin the baseline makespan; ``lrscwait:1`` there bounces LRwaits
-with ``QUEUE_FULL``, so its golden covers the backoff draws.
+with ``QUEUE_FULL``, so its golden covers the backoff draws.  The lock
+cases (Fig. 4) contend on one bin, one per lock class on a variant that
+runs it, and the queue cases (Fig. 6) cover each queue method; the
+``lrscwait:1`` lock and queue cases take the ``QUEUE_FULL`` paths.
 
 Regenerate only when the timing model changes on purpose::
 
@@ -24,11 +27,18 @@ import pytest
 from repro import Machine
 from repro.algorithms.histogram import Histogram
 from repro.algorithms.matmul import Matmul
+from repro.algorithms.mcs_queue import NEXT, VALUE, ConcurrentQueue
 from repro.scenarios import default_spec
 from repro.scenarios.registry import get_workload
 from repro.scenarios.run import apply_settings, build_machine
 
 DATA = pathlib.Path(__file__).parent / "data" / "kernel_goldens.json"
+
+def _lock(lock: str) -> dict:
+    """Histogram overrides: every core updates one bin through ``lock``."""
+    return {"method": "lock", "lock": lock, "bins": 1,
+            "updates_per_core": 4}
+
 
 #: Case name -> (workload, variant, parameter overrides).
 CASES = {
@@ -41,6 +51,17 @@ CASES = {
     "histogram_zipf-lrsc": ("histogram_zipf", "lrsc", {"method": "lrsc"}),
     "histogram_zipf-wait": ("histogram_zipf", "colibri",
                             {"method": "wait"}),
+    "histogram-lock:amo-amo": ("histogram", "amo", _lock("amo")),
+    "histogram-lock:lrsc-lrsc": ("histogram", "lrsc", _lock("lrsc")),
+    "histogram-lock:colibri-colibri": ("histogram", "colibri",
+                                       _lock("colibri")),
+    "histogram-lock:colibri-lrscwait:1": ("histogram", "lrscwait:1",
+                                          _lock("colibri")),
+    "histogram-lock:mcs-colibri": ("histogram", "colibri", _lock("mcs")),
+    "queue-lrsc-lrsc": ("queue", "lrsc", {"method": "lrsc"}),
+    "queue-wait-colibri": ("queue", "colibri", {"method": "wait"}),
+    "queue-wait-lrscwait:1": ("queue", "lrscwait:1", {"method": "wait"}),
+    "queue-lock-amo": ("queue", "amo", {"method": "lock"}),
     "matmul": ("matmul", "colibri", {}),
     "interference-amo-colibri": ("interference", "colibri",
                                  {"method": "amo"}),
@@ -81,6 +102,16 @@ def shared_data(workload: str, spec, params: dict, machine) -> dict:
         bins = Histogram(fresh, params["bins"]).base
         return {"bins": machine.peek_array(bins, params["bins"]),
                 "c": machine.peek_array(c_base, dim * dim)}
+    if workload == "queue":
+        # The sentinel's value (the last one dequeued), then the values
+        # still queued, oldest first.
+        queue = ConcurrentQueue(fresh, params["method"], 1)
+        values = []
+        node = machine.peek(queue.head_addr)
+        while node:
+            values.append(machine.peek(node + VALUE * queue.word))
+            node = machine.peek(node + NEXT * queue.word)
+        return {"queue": values}
     base = Histogram(fresh, params["bins"]).base
     return {"bins": machine.peek_array(base, params["bins"])}
 
