@@ -14,7 +14,7 @@ completion time (makespan over workers) is the experiment's metric.
 from __future__ import annotations
 
 from ..cores.api import RETIRE, Compute, CoreApi, MemCmd
-from ..interconnect.messages import Op
+from ..interconnect.messages import LW, SW
 from ..machine import Machine
 
 #: One multiply-accumulate: two compute cycles (mul + add).
@@ -53,11 +53,11 @@ class Matmul:
         stores carry data-dependent values, so they are built inline.
         """
         dim = self.dim
-        b_cols = [[MemCmd(Op.LW, self._addr(self.b_base, k, col))
+        b_cols = [[MemCmd(LW, self._addr(self.b_base, k, col))
                    for k in range(dim)]
                   for col in range(dim)]
         for row in rows:
-            a_row = [MemCmd(Op.LW, self._addr(self.a_base, row, k))
+            a_row = [MemCmd(LW, self._addr(self.a_base, row, k))
                      for k in range(dim)]
             for col in range(dim):
                 b_col = b_cols[col]
@@ -67,7 +67,7 @@ class Matmul:
                     resp_b = yield b_col[k]
                     yield MUL_ADD
                     acc += resp_a.value * resp_b.value
-                yield MemCmd(Op.SW, self._addr(self.c_base, row, col), acc)
+                yield MemCmd(SW, self._addr(self.c_base, row, col), acc)
                 yield RETIRE
 
     def partition_rows(self, num_workers: int) -> list:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from ..cores.api import CoreApi
 from ..engine.errors import MemoryError_
-from ..interconnect.messages import Status
+from ..interconnect.messages import QUEUE_FULL
 from ..machine import Machine
 from ..sync.backoff import DEFAULT_LRSC_BACKOFF, QUEUE_FULL_BACKOFF
 from ..sync.locks import AmoSpinLock
@@ -132,7 +132,7 @@ class ConcurrentQueue:
         attempt = 0
         while True:  # "wait"
             resp = yield from api.lrwait(self.tail_addr)
-            if resp.status is Status.QUEUE_FULL:
+            if resp.status is QUEUE_FULL:
                 yield from api.compute(
                     QUEUE_FULL_BACKOFF.delay(api.rng, attempt))
                 attempt += 1
@@ -191,7 +191,7 @@ class ConcurrentQueue:
         attempt = 0
         while True:
             resp = yield from api.lrwait(self.head_addr)
-            if resp.status is Status.QUEUE_FULL:
+            if resp.status is QUEUE_FULL:
                 yield from api.compute(
                     QUEUE_FULL_BACKOFF.delay(api.rng, attempt))
                 attempt += 1

@@ -34,7 +34,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from ..interconnect.messages import MemResponse, Op, Status
+from ..interconnect.messages import (
+    AMO_ADD, AMO_AND, AMO_MAX, AMO_MIN, AMO_OR, AMO_SWAP, AMO_XOR, LR, LRWAIT,
+    LW, MWAIT, OK, SC, SCWAIT, SW, Op)
 
 
 @dataclass(slots=True)
@@ -85,61 +87,61 @@ class CoreApi:
 
     def lw(self, addr: int):
         """Load word; returns the value."""
-        resp = yield MemCmd(Op.LW, addr)
+        resp = yield MemCmd(LW, addr)
         return resp.value
 
     def sw(self, addr: int, value: int):
         """Store word."""
-        yield MemCmd(Op.SW, addr, value)
+        yield MemCmd(SW, addr, value)
 
     # -- single-instruction atomics ------------------------------------------------
 
     def amo_add(self, addr: int, value: int):
         """Atomic fetch-and-add; returns the previous value."""
-        resp = yield MemCmd(Op.AMO_ADD, addr, value)
+        resp = yield MemCmd(AMO_ADD, addr, value)
         return resp.value
 
     def amo_swap(self, addr: int, value: int):
         """Atomic swap; returns the previous value."""
-        resp = yield MemCmd(Op.AMO_SWAP, addr, value)
+        resp = yield MemCmd(AMO_SWAP, addr, value)
         return resp.value
 
     def amo_and(self, addr: int, value: int):
         """Atomic AND; returns the previous value."""
-        resp = yield MemCmd(Op.AMO_AND, addr, value)
+        resp = yield MemCmd(AMO_AND, addr, value)
         return resp.value
 
     def amo_or(self, addr: int, value: int):
         """Atomic OR; returns the previous value."""
-        resp = yield MemCmd(Op.AMO_OR, addr, value)
+        resp = yield MemCmd(AMO_OR, addr, value)
         return resp.value
 
     def amo_xor(self, addr: int, value: int):
         """Atomic XOR; returns the previous value."""
-        resp = yield MemCmd(Op.AMO_XOR, addr, value)
+        resp = yield MemCmd(AMO_XOR, addr, value)
         return resp.value
 
     def amo_max(self, addr: int, value: int):
         """Atomic signed max; returns the previous value."""
-        resp = yield MemCmd(Op.AMO_MAX, addr, value)
+        resp = yield MemCmd(AMO_MAX, addr, value)
         return resp.value
 
     def amo_min(self, addr: int, value: int):
         """Atomic signed min; returns the previous value."""
-        resp = yield MemCmd(Op.AMO_MIN, addr, value)
+        resp = yield MemCmd(AMO_MIN, addr, value)
         return resp.value
 
     # -- LR/SC (baseline) --------------------------------------------------------------
 
     def lr(self, addr: int):
         """Load-reserved; returns the value."""
-        resp = yield MemCmd(Op.LR, addr)
+        resp = yield MemCmd(LR, addr)
         return resp.value
 
     def sc(self, addr: int, value: int):
         """Store-conditional; returns ``True`` on success."""
-        resp = yield MemCmd(Op.SC, addr, value)
-        return resp.status is Status.OK
+        resp = yield MemCmd(SC, addr, value)
+        return resp.status is OK
 
     # -- LRSCwait extension ----------------------------------------------------------------
 
@@ -150,20 +152,20 @@ class CoreApi:
         the reservation queue — the core sleeps until then.  Callers
         must check for :data:`Status.QUEUE_FULL` on bounded hardware.
         """
-        resp = yield MemCmd(Op.LRWAIT, addr)
+        resp = yield MemCmd(LRWAIT, addr)
         return resp
 
     def scwait(self, addr: int, value: int):
         """Store-conditional-wait; returns ``True`` on success."""
-        resp = yield MemCmd(Op.SCWAIT, addr, value)
-        return resp.status is Status.OK
+        resp = yield MemCmd(SCWAIT, addr, value)
+        return resp.status is OK
 
     def mwait(self, addr: int, expected: int):
         """Sleep until ``addr`` differs from ``expected``; returns the
         observed value (or the full response's value on QUEUE_FULL —
         callers on bounded hardware should re-check and fall back to
         polling; see :class:`MemResponse.status`)."""
-        resp = yield MemCmd(Op.MWAIT, addr, expected=expected)
+        resp = yield MemCmd(MWAIT, addr, expected=expected)
         return resp
 
     # -- non-memory ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from ..engine.events import MASK, SPAN
 from ..engine.simulator import Simulator
 from ..engine.stats import CoreStats
 from ..interconnect.messages import (
-    MemRequest, Op, Status, _req_ids)
+    OK, QUEUE_FULL, SCWAIT, MemRequest, _req_ids)
 from ..interconnect.network import Network
 from ..arch.address_map import AddressMap
 from .api import Compute, MemCmd, Retire
@@ -159,14 +159,14 @@ class Core:
             # Count the outcome; the Qnode filters only wait-family
             # responses (it ignores every other op).
             if op.is_sc:
-                if resp.status is Status.OK:
+                if resp.status is OK:
                     stats.sc_successes += 1
                 else:
                     stats.sc_failures += 1
-                if op is Op.SCWAIT:
+                if op is SCWAIT:
                     self.qnode.on_response(resp)
             elif op.is_wait:
-                if resp.status is Status.QUEUE_FULL:
+                if resp.status is QUEUE_FULL:
                     stats.wait_rejections += 1
                 self.qnode.on_response(resp)
         resume = self._resume
@@ -262,7 +262,7 @@ class Core:
         if op.is_wait:
             if not self.qnode.try_issue_wait(req, bank_id):
                 return  # stalled inside the Qnode; released later
-        elif op is Op.SCWAIT:
+        elif op is SCWAIT:
             # The SCwait passes the Qnode on its way out (Fig. 2 / 6).
             self._send_request(req, bank_id)
             self.qnode.on_scwait_pass()

@@ -31,10 +31,11 @@ from typing import Callable, Optional
 
 from ..engine.errors import ProtocolViolation, SimulationError
 from ..interconnect.messages import (
+    MWAIT,
+    QUEUE_FULL,
+    SCWAIT,
     MemRequest,
     MemResponse,
-    Op,
-    Status,
     SuccessorUpdate,
     WakeUpRequest,
 )
@@ -116,12 +117,12 @@ class Qnode:
         The core hands over only LRwait, Mwait and SCwait responses;
         every other op leaves the node untouched.
         """
-        if resp.op is Op.SCWAIT:
+        if resp.op is SCWAIT:
             self._resolve_exit(resp)
         elif resp.op.is_wait:
-            if resp.status is Status.QUEUE_FULL:
+            if resp.status is QUEUE_FULL:
                 self._disarm()  # never enqueued
-            elif resp.op is Op.MWAIT:
+            elif resp.op is MWAIT:
                 # Mwait completion doubles as the dequeue (§IV-B).
                 self._resolve_exit(resp)
             # A successful LRwait response leaves the node armed: the

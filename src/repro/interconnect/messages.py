@@ -104,6 +104,13 @@ class Status(Enum):
     QUEUE_FULL = "queue_full"
 
 
+# The members as module-level names, for function bodies on the
+# simulation path: on Python <= 3.11 ``EnumType`` defines
+# ``__getattr__``, so every ``Op.X`` load goes through the slow slot hook.
+(LW, SW, AMO_ADD, AMO_SWAP, AMO_AND, AMO_OR, AMO_XOR, AMO_MAX, AMO_MIN,
+ LR, SC, LRWAIT, SCWAIT, MWAIT) = Op
+OK, SC_FAIL, QUEUE_FULL = Status
+
 _req_ids = itertools.count()
 
 

@@ -33,7 +33,9 @@ does not accept maps to a function raising
 from __future__ import annotations
 
 from ..engine.errors import ProtocolViolation
-from ..interconnect.messages import AMO_OPS, MemRequest, Op, Status
+from ..interconnect.messages import (
+    AMO_AND, AMO_MAX, AMO_MIN, AMO_OPS, AMO_OR, AMO_SWAP, AMO_XOR, SC_FAIL,
+    MemRequest, Op)
 
 
 def _unsupported(adapter: "AtomicAdapter", req: MemRequest) -> None:
@@ -172,20 +174,20 @@ class AtomicAdapter:
         ``amoadd`` does not come here: :meth:`_amo_add`, its own
         service function, adds in place.
         """
-        if op is Op.AMO_SWAP:
+        if op is AMO_SWAP:
             return operand
-        if op is Op.AMO_AND:
+        if op is AMO_AND:
             return old & operand
-        if op is Op.AMO_OR:
+        if op is AMO_OR:
             return old | operand
-        if op is Op.AMO_XOR:
+        if op is AMO_XOR:
             return old ^ operand
         bank = self.ctrl.bank
         signed_old = bank.to_signed(old)
         signed_new = bank.to_signed(operand & bank.mask)
-        if op is Op.AMO_MAX:
+        if op is AMO_MAX:
             return old if signed_old >= signed_new else operand
-        if op is Op.AMO_MIN:
+        if op is AMO_MIN:
             return old if signed_old <= signed_new else operand
         raise ProtocolViolation(f"not an AMO: {op}")
 
@@ -220,7 +222,7 @@ class AmoAdapter(AtomicAdapter):
     OP_METHODS = {Op.SC: "_fail_sc"}
 
     def _fail_sc(self, req: MemRequest) -> None:
-        self.ctrl.respond(req, 1, Status.SC_FAIL)
+        self.ctrl.respond(req, 1, SC_FAIL)
 
 
 _build_tables(AtomicAdapter)

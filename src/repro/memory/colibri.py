@@ -38,6 +38,11 @@ from typing import Optional
 
 from ..engine.errors import ProtocolViolation, SimulationError
 from ..interconnect.messages import (
+    LRWAIT,
+    MWAIT,
+    OK,
+    QUEUE_FULL,
+    SC_FAIL,
     MemRequest,
     Op,
     Status,
@@ -119,7 +124,7 @@ class ColibriAdapter(AtomicAdapter):
                 prev_core=previous_tail, successor=req.core_id))
             return
         if len(self._queues) >= self.num_addresses:
-            self.ctrl.respond(req, 0, Status.QUEUE_FULL)
+            self.ctrl.respond(req, 0, QUEUE_FULL)
             return
         queue = _ColibriQueue(addr=req.addr, head=req.core_id,
                               tail=req.core_id)
@@ -133,9 +138,9 @@ class ColibriAdapter(AtomicAdapter):
     def _serve_head(self, queue: _ColibriQueue, req: MemRequest) -> None:
         """Serve ``req`` (guaranteed to be the queue head) the current value."""
         value = self.ctrl.read(queue.addr)
-        if req.op is Op.LRWAIT:
+        if req.op is LRWAIT:
             queue.reservation_valid = True
-            queue.head_op = Op.LRWAIT
+            queue.head_op = LRWAIT
             self.ctrl.stats.reservations_placed += 1
             self.ctrl.respond(req, value)
             return
@@ -144,7 +149,7 @@ class ColibriAdapter(AtomicAdapter):
             self._respond_and_dequeue(queue, req, value)
             return
         queue.reservation_valid = True
-        queue.head_op = Op.MWAIT
+        queue.head_op = MWAIT
         self.ctrl.stats.reservations_placed += 1
 
     # -- dequeue: SCwait ------------------------------------------------------------
@@ -153,13 +158,13 @@ class ColibriAdapter(AtomicAdapter):
         queue = self._queues.get(req.addr)
         legal = (queue is not None and queue.head_valid
                  and queue.head == req.core_id
-                 and queue.head_op is Op.LRWAIT)
+                 and queue.head_op is LRWAIT)
         if not legal:
             if self.strict:
                 raise ProtocolViolation(
                     f"SCwait from core {req.core_id} to 0x{req.addr:x} "
                     f"without holding the queue head")
-            self.ctrl.respond(req, 1, Status.SC_FAIL)
+            self.ctrl.respond(req, 1, SC_FAIL)
             return
         assert queue is not None
         if queue.reservation_valid:
@@ -169,10 +174,10 @@ class ColibriAdapter(AtomicAdapter):
             # queue on the same address (different queue slot is
             # impossible — same addr, same queue) is untouched; other
             # adapters' reservations do not exist here.
-            self._respond_and_dequeue(queue, req, value=0, status=Status.OK)
+            self._respond_and_dequeue(queue, req, value=0, status=OK)
         else:
             self._respond_and_dequeue(queue, req, value=1,
-                                      status=Status.SC_FAIL)
+                                      status=SC_FAIL)
 
     def _respond_and_dequeue(self, queue: _ColibriQueue, req: MemRequest,
                              value: int, status: Status = Status.OK) -> None:
@@ -230,7 +235,7 @@ class ColibriAdapter(AtomicAdapter):
         queue = self._queues.get(addr)
         if queue is None or not queue.head_valid or not queue.reservation_valid:
             return
-        if queue.head_op is Op.LRWAIT:
+        if queue.head_op is LRWAIT:
             queue.reservation_valid = False
             self.ctrl.stats.reservations_invalidated += 1
             return
@@ -250,7 +255,7 @@ class ColibriAdapter(AtomicAdapter):
         a monitoring Mwait we rebuild an equivalent request envelope
         (op/core/addr are all the response needs).
         """
-        return MemRequest(op=Op.MWAIT, core_id=queue.head, addr=queue.addr)
+        return MemRequest(op=MWAIT, core_id=queue.head, addr=queue.addr)
 
     # -- introspection ------------------------------------------------------------------------
 
@@ -259,7 +264,7 @@ class ColibriAdapter(AtomicAdapter):
         total = 0
         for queue in self._queues.values():
             total += len(queue.pending)
-            if queue.head_valid and queue.head_op is Op.MWAIT:
+            if queue.head_valid and queue.head_op is MWAIT:
                 total += 1
         return total
 

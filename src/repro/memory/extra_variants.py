@@ -27,7 +27,7 @@ works exactly the same way (see ``examples/custom_variant.py``).
 
 from __future__ import annotations
 
-from ..interconnect.messages import MemRequest, Status
+from ..interconnect.messages import QUEUE_FULL, SC_FAIL, MemRequest
 from .lrsc import LrscAdapter
 from .lrscwait import LrscWaitAdapter
 from .variants import AtomicVariant, VariantParam, register_variant
@@ -72,7 +72,7 @@ class LrscBackoffAdapter(LrscAdapter):
         self.ctrl.sim.schedule(delay, self._respond_failure, arg=req)
 
     def _respond_failure(self, req: MemRequest) -> None:
-        self.ctrl.respond(req, 1, Status.SC_FAIL)
+        self.ctrl.respond(req, 1, SC_FAIL)
 
     @property
     def held_responses(self) -> int:
@@ -99,7 +99,7 @@ class TicketAdapter(LrscWaitAdapter):
     def _handle_wait(self, req: MemRequest) -> None:
         if req.addr not in self._queues \
                 and len(self._queues) >= self.num_addresses:
-            self.ctrl.respond(req, 0, Status.QUEUE_FULL)
+            self.ctrl.respond(req, 0, QUEUE_FULL)
             return
         super()._handle_wait(req)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..interconnect.messages import MemRequest, Op, Status
+from ..interconnect.messages import OK, SC_FAIL, MemRequest, Op
 from .adapter import AtomicAdapter
 
 
@@ -54,9 +54,9 @@ class LrscAdapter(AtomicAdapter):
             # The SC's own store must not be able to fail a *future* SC
             # of the same core, so clear before the on_write sweep.
             self.on_write(req.addr)
-            self.ctrl.respond(req, 0, Status.OK)
+            self.ctrl.respond(req, 0, OK)
         else:
-            self.ctrl.respond(req, 1, Status.SC_FAIL)
+            self.ctrl.respond(req, 1, SC_FAIL)
 
     def on_write(self, addr: int) -> None:
         """A committed store kills a matching reservation (§III step 3)."""

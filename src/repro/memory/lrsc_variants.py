@@ -29,7 +29,7 @@ through the public API.
 
 from __future__ import annotations
 
-from ..interconnect.messages import MemRequest, Op, Status
+from ..interconnect.messages import OK, SC_FAIL, MemRequest, Op
 from .adapter import AtomicAdapter
 
 
@@ -53,9 +53,9 @@ class LrscTableAdapter(AtomicAdapter):
             del self._table[req.core_id]
             self.ctrl.write(req.addr, req.value)
             self.on_write(req.addr)
-            self.ctrl.respond(req, 0, Status.OK)
+            self.ctrl.respond(req, 0, OK)
         else:
-            self.ctrl.respond(req, 1, Status.SC_FAIL)
+            self.ctrl.respond(req, 1, SC_FAIL)
 
     def on_write(self, addr: int) -> None:
         """A committed store kills every reservation on that address."""
@@ -95,9 +95,9 @@ class LrscBankAdapter(AtomicAdapter):
             # (the write is a store to the bank).
             self.ctrl.write(req.addr, req.value)
             self.on_write(req.addr)
-            self.ctrl.respond(req, 0, Status.OK)
+            self.ctrl.respond(req, 0, OK)
         else:
-            self.ctrl.respond(req, 1, Status.SC_FAIL)
+            self.ctrl.respond(req, 1, SC_FAIL)
 
     def on_write(self, addr: int) -> None:
         """Any committed store to the bank clears every bit — the

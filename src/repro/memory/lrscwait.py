@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..engine.errors import ProtocolViolation
-from ..interconnect.messages import MemRequest, Op, Status
+from ..interconnect.messages import (
+    LRWAIT, OK, QUEUE_FULL, SC_FAIL, MemRequest, Op)
 from .adapter import AtomicAdapter
 
 
@@ -66,7 +67,7 @@ class LrscWaitAdapter(AtomicAdapter):
 
     def _handle_wait(self, req: MemRequest) -> None:
         if self.queue_slots is not None and self._occupancy >= self.queue_slots:
-            self.ctrl.respond(req, 0, Status.QUEUE_FULL)
+            self.ctrl.respond(req, 0, QUEUE_FULL)
             return
         if self.strict:
             key = (req.core_id, req.addr)
@@ -95,7 +96,7 @@ class LrscWaitAdapter(AtomicAdapter):
         while queue:
             head = queue[0]
             value = self.ctrl.read(addr)
-            if head.req.op is Op.LRWAIT:
+            if head.req.op is LRWAIT:
                 head.served = True
                 head.reservation_valid = True
                 self.ctrl.stats.reservations_placed += 1
@@ -116,26 +117,26 @@ class LrscWaitAdapter(AtomicAdapter):
         queue = self._queues.get(req.addr)
         head = queue[0] if queue else None
         legal = (head is not None and head.served
-                 and head.req.op is Op.LRWAIT
+                 and head.req.op is LRWAIT
                  and head.req.core_id == req.core_id)
         if not legal:
             if self.strict:
                 raise ProtocolViolation(
                     f"SCwait from core {req.core_id} to 0x{req.addr:x} "
                     f"without being the served queue head")
-            self.ctrl.respond(req, 1, Status.SC_FAIL)
+            self.ctrl.respond(req, 1, SC_FAIL)
             return
         assert head is not None
         valid = head.reservation_valid
         self._pop(req.addr)
         if valid:
             self.ctrl.write(req.addr, req.value)
-            self.ctrl.respond(req, 0, Status.OK)
+            self.ctrl.respond(req, 0, OK)
             # The SCwait's own store wakes monitoring Mwaits but must
             # not clear the (already popped) writer's state.
             self.on_write(req.addr)
         else:
-            self.ctrl.respond(req, 1, Status.SC_FAIL)
+            self.ctrl.respond(req, 1, SC_FAIL)
         self._serve_head(req.addr)
 
     def _pop(self, addr: int) -> None:
@@ -159,7 +160,7 @@ class LrscWaitAdapter(AtomicAdapter):
         head = queue[0]
         if not head.served:
             return
-        if head.req.op is Op.LRWAIT:
+        if head.req.op is LRWAIT:
             if head.reservation_valid:
                 head.reservation_valid = False
                 self.ctrl.stats.reservations_invalidated += 1

@@ -28,7 +28,7 @@ from ..algorithms.mcs_queue import (
     QUEUE_METHODS, ConcurrentQueue, queue_worker_kernel)
 from ..engine.errors import ConfigError
 from ..eval.points import HistogramPoint, QueuePoint
-from ..interconnect.messages import Status
+from ..interconnect.messages import QUEUE_FULL
 from ..power.energy import EnergyModel
 from ..sync.backoff import FixedBackoff
 from ..sync.barrier import CentralBarrier
@@ -379,7 +379,7 @@ def _wait_until_changed(api, addr: int, expected: int, use_mwait: bool,
     if use_mwait:
         while True:
             resp = yield from api.mwait(addr, expected=expected)
-            if resp.status is Status.QUEUE_FULL:
+            if resp.status is QUEUE_FULL:
                 value = yield from api.lw(addr)
                 if value != expected:
                     return value

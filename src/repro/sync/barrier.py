@@ -14,7 +14,7 @@ Mwait with (§I, §III-C).
 from __future__ import annotations
 
 from ..cores.api import CoreApi
-from ..interconnect.messages import Status
+from ..interconnect.messages import QUEUE_FULL
 from .backoff import FixedBackoff
 
 
@@ -59,7 +59,7 @@ class CentralBarrier:
         attempt = 0
         while True:
             resp = yield from api.mwait(self.sense_addr, expected=sense)
-            if resp.status is Status.QUEUE_FULL:
+            if resp.status is QUEUE_FULL:
                 value = yield from api.lw(self.sense_addr)
                 if value != sense:
                     return

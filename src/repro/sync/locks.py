@@ -33,7 +33,7 @@ allocate the lock's memory, so example code reads naturally::
 from __future__ import annotations
 
 from ..cores.api import CoreApi
-from ..interconnect.messages import Status
+from ..interconnect.messages import QUEUE_FULL
 from .backoff import (
     ExponentialBackoff,
     FixedBackoff,
@@ -162,7 +162,7 @@ class ColibriSpinLock:
         attempt = 0
         while True:
             resp = yield from api.lrwait(self.lock_addr)
-            if resp.status is Status.QUEUE_FULL:
+            if resp.status is QUEUE_FULL:
                 yield from api.compute(
                     self.full_backoff.delay(api.rng, attempt))
                 attempt += 1
@@ -248,7 +248,7 @@ class MwaitMcsLock:
         attempt = 0
         while True:
             resp = yield from api.mwait(flag_addr, expected=0)
-            if resp.status is not Status.QUEUE_FULL:
+            if resp.status is not QUEUE_FULL:
                 if resp.value != 0:
                     return
                 continue  # spurious: value unchanged, monitor again
@@ -279,7 +279,7 @@ class MwaitMcsLock:
         attempt = 0
         while True:
             resp = yield from api.lrwait(self.tail_addr)
-            if resp.status is Status.QUEUE_FULL:
+            if resp.status is QUEUE_FULL:
                 yield from api.compute(
                     self.fallback_backoff.delay(api.rng, attempt))
                 attempt += 1
@@ -298,7 +298,7 @@ class MwaitMcsLock:
         attempt = 0
         while True:
             resp = yield from api.mwait(next_addr, expected=self.NIL)
-            if resp.status is Status.QUEUE_FULL:
+            if resp.status is QUEUE_FULL:
                 value = yield from api.lw(next_addr)
                 if value != self.NIL:
                     return value

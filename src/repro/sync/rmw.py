@@ -52,7 +52,8 @@ from functools import partial
 from typing import Callable, Iterable, Optional
 
 from ..cores.api import RETIRE, Compute, CoreApi, MemCmd, Retire
-from ..interconnect.messages import Op, Status
+from ..interconnect.messages import (
+    AMO_ADD, LR, LRWAIT, OK, QUEUE_FULL, SC, SCWAIT)
 from .backoff import (
     DEFAULT_LRSC_BACKOFF,
     QUEUE_FULL_BACKOFF,
@@ -74,7 +75,7 @@ def amo_add_loop(api: CoreApi, base: int, word: int, indices: Iterable,
     old value of the last update."""
     old = None
     for index in indices:
-        resp = yield MemCmd(Op.AMO_ADD, base + index * word, value)
+        resp = yield MemCmd(AMO_ADD, base + index * word, value)
         old = resp.value
         if retire is not None:
             yield retire
@@ -96,15 +97,15 @@ def lrsc_loop(api: CoreApi, base: int, word: int, indices: Iterable,
     old = None
     for index in indices:
         addr = base + index * word
-        load = MemCmd(Op.LR, addr)
+        load = MemCmd(LR, addr)
         attempt = 0
         while True:
             resp = yield load
             old = resp.value
             if compute_cycles > 0:
                 yield think
-            resp = yield MemCmd(Op.SC, addr, modify(old))
-            if resp.status is Status.OK:
+            resp = yield MemCmd(SC, addr, modify(old))
+            if resp.status is OK:
                 break
             delay = backoff.delay(api.rng, attempt)
             if delay > 0:
@@ -131,11 +132,11 @@ def wait_loop(api: CoreApi, base: int, word: int, indices: Iterable,
     old = None
     for index in indices:
         addr = base + index * word
-        load = MemCmd(Op.LRWAIT, addr)
+        load = MemCmd(LRWAIT, addr)
         attempt = 0
         while True:
             resp = yield load
-            if resp.status is Status.QUEUE_FULL:
+            if resp.status is QUEUE_FULL:
                 delay = full_backoff.delay(api.rng, attempt)
                 if delay > 0:
                     yield Compute(delay)
@@ -144,8 +145,8 @@ def wait_loop(api: CoreApi, base: int, word: int, indices: Iterable,
             old = resp.value
             if compute_cycles > 0:
                 yield think
-            resp = yield MemCmd(Op.SCWAIT, addr, modify(old))
-            if resp.status is Status.OK:
+            resp = yield MemCmd(SCWAIT, addr, modify(old))
+            if resp.status is OK:
                 break
             attempt += 1
         if retire is not None:
