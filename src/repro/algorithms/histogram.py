@@ -36,10 +36,11 @@ from functools import partial
 from itertools import islice
 from typing import Optional
 
-from ..cores.api import CoreApi
+from ..cores.api import RETIRE, CoreApi, MemCmd
+from ..interconnect.messages import LW, SW
 from ..machine import Machine
 from ..sync.locks import MwaitMcsLock
-from ..sync.rmw import RMW_METHODS, add_loop
+from ..sync.rmw import COMPUTE_1, RMW_METHODS, add_loop
 
 
 class Histogram:
@@ -89,11 +90,11 @@ class Histogram:
             lock = self._locks[index]
             addr = self.bin_addr(index)
             yield from lock.acquire(api)
-            value = yield from api.lw(addr)
-            yield from api.compute(1)
-            yield from api.sw(addr, value + 1)
+            resp = yield MemCmd(LW, addr)
+            yield COMPUTE_1
+            yield MemCmd(SW, addr, resp.value + 1)
             yield from lock.release(api)
-            yield from api.retire()
+            yield RETIRE
 
     def kernel_factory(self, method: str, updates: int):
         """Kernel factory for :meth:`Machine.load_all`: ``updates``

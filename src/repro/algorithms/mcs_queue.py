@@ -24,13 +24,18 @@ failed SCs with backoff; ``"wait"`` uses LRwait/SCwait and *must* close
 every LRwait with an SCwait even when it observed an empty queue
 (§III's pairing constraint); ``"lock"`` takes a test-and-set AMO lock
 around plain accesses.
+
+The queue's methods yield the core's commands themselves (see
+:mod:`repro.sync.rmw`), so each command resumes the kernel's own
+frames with no :class:`~repro.cores.api.CoreApi` helper in between.
 """
 
 from __future__ import annotations
 
-from ..cores.api import CoreApi
+from ..cores.api import RETIRE, Compute, CoreApi, MemCmd
 from ..engine.errors import MemoryError_
-from ..interconnect.messages import QUEUE_FULL
+from ..interconnect.messages import (
+    LR, LRWAIT, LW, OK, QUEUE_FULL, SC, SCWAIT, SW)
 from ..machine import Machine
 from ..sync.backoff import DEFAULT_LRSC_BACKOFF, QUEUE_FULL_BACKOFF
 from ..sync.locks import AmoSpinLock
@@ -100,21 +105,21 @@ class ConcurrentQueue:
     def enqueue(self, api: CoreApi, value: int):
         """Append ``value``; returns the node address used."""
         node = self.arenas[api.core_id].take()
-        yield from api.sw(self._next_addr(node), 0)
-        yield from api.sw(self._value_addr(node), value)
+        yield MemCmd(SW, self._next_addr(node), 0)
+        yield MemCmd(SW, self._value_addr(node), value)
         if self.method == "lock":
             yield from self._enqueue_locked(api, node)
         else:
             old_tail = yield from self._swap_tail(api, node)
-            yield from api.sw(self._next_addr(old_tail), node)
+            yield MemCmd(SW, self._next_addr(old_tail), node)
         return node
 
     def _enqueue_locked(self, api: CoreApi, node: int):
         assert self.lock is not None
         yield from self.lock.acquire(api)
-        old_tail = yield from api.lw(self.tail_addr)
-        yield from api.sw(self._next_addr(old_tail), node)
-        yield from api.sw(self.tail_addr, node)
+        resp = yield MemCmd(LW, self.tail_addr)
+        yield MemCmd(SW, self._next_addr(resp.value), node)
+        yield MemCmd(SW, self.tail_addr, node)
         yield from self.lock.release(api)
 
     def _swap_tail(self, api: CoreApi, node: int):
@@ -122,24 +127,24 @@ class ConcurrentQueue:
         if self.method == "lrsc":
             attempt = 0
             while True:
-                old = yield from api.lr(self.tail_addr)
-                success = yield from api.sc(self.tail_addr, node)
-                if success:
+                resp = yield MemCmd(LR, self.tail_addr)
+                old = resp.value
+                resp = yield MemCmd(SC, self.tail_addr, node)
+                if resp.status is OK:
                     return old
-                yield from api.compute(
-                    DEFAULT_LRSC_BACKOFF.delay(api.rng, attempt))
+                yield Compute(DEFAULT_LRSC_BACKOFF.delay(api.rng, attempt))
                 attempt += 1
         attempt = 0
         while True:  # "wait"
-            resp = yield from api.lrwait(self.tail_addr)
+            resp = yield MemCmd(LRWAIT, self.tail_addr)
             if resp.status is QUEUE_FULL:
-                yield from api.compute(
-                    QUEUE_FULL_BACKOFF.delay(api.rng, attempt))
+                yield Compute(QUEUE_FULL_BACKOFF.delay(api.rng, attempt))
                 attempt += 1
                 continue
-            success = yield from api.scwait(self.tail_addr, node)
-            if success:
-                return resp.value
+            old = resp.value
+            resp = yield MemCmd(SCWAIT, self.tail_addr, node)
+            if resp.status is OK:
+                return old
             attempt += 1
 
     # -- dequeue ----------------------------------------------------------------------
@@ -148,64 +153,63 @@ class ConcurrentQueue:
         """Remove the oldest element; returns ``(ok, value)``.
 
         ``ok`` is ``False`` when the queue was (transiently) empty.
+        Returns the method's generator; use with ``yield from``.
         """
         if self.method == "lock":
-            result = yield from self._dequeue_locked(api)
-            return result
+            return self._dequeue_locked(api)
         if self.method == "lrsc":
-            result = yield from self._dequeue_lrsc(api)
-            return result
-        result = yield from self._dequeue_wait(api)
-        return result
+            return self._dequeue_lrsc(api)
+        return self._dequeue_wait(api)
 
     def _dequeue_locked(self, api: CoreApi):
         assert self.lock is not None
         yield from self.lock.acquire(api)
-        sentinel = yield from api.lw(self.head_addr)
-        first = yield from api.lw(self._next_addr(sentinel))
+        resp = yield MemCmd(LW, self.head_addr)
+        resp = yield MemCmd(LW, self._next_addr(resp.value))
+        first = resp.value
         if first == 0:
             yield from self.lock.release(api)
             return (False, 0)
-        yield from api.sw(self.head_addr, first)
+        yield MemCmd(SW, self.head_addr, first)
         yield from self.lock.release(api)
-        value = yield from api.lw(self._value_addr(first))
-        return (True, value)
+        resp = yield MemCmd(LW, self._value_addr(first))
+        return (True, resp.value)
 
     def _dequeue_lrsc(self, api: CoreApi):
         attempt = 0
         while True:
-            sentinel = yield from api.lr(self.head_addr)
-            first = yield from api.lw(self._next_addr(sentinel))
+            resp = yield MemCmd(LR, self.head_addr)
+            resp = yield MemCmd(LW, self._next_addr(resp.value))
+            first = resp.value
             if first == 0:
                 # Plain LR may be abandoned without an SC.
                 return (False, 0)
-            success = yield from api.sc(self.head_addr, first)
-            if success:
-                value = yield from api.lw(self._value_addr(first))
-                return (True, value)
-            yield from api.compute(
-                DEFAULT_LRSC_BACKOFF.delay(api.rng, attempt))
+            resp = yield MemCmd(SC, self.head_addr, first)
+            if resp.status is OK:
+                resp = yield MemCmd(LW, self._value_addr(first))
+                return (True, resp.value)
+            yield Compute(DEFAULT_LRSC_BACKOFF.delay(api.rng, attempt))
             attempt += 1
 
     def _dequeue_wait(self, api: CoreApi):
         attempt = 0
         while True:
-            resp = yield from api.lrwait(self.head_addr)
+            resp = yield MemCmd(LRWAIT, self.head_addr)
             if resp.status is QUEUE_FULL:
-                yield from api.compute(
-                    QUEUE_FULL_BACKOFF.delay(api.rng, attempt))
+                yield Compute(QUEUE_FULL_BACKOFF.delay(api.rng, attempt))
                 attempt += 1
                 continue
             sentinel = resp.value
-            first = yield from api.lw(self._next_addr(sentinel))
+            resp = yield MemCmd(LW, self._next_addr(sentinel))
+            first = resp.value
             if first == 0:
                 # LRwait must always be closed: write back unchanged.
-                yield from api.scwait(self.head_addr, sentinel)
+                yield MemCmd(SCWAIT, self.head_addr, sentinel)
                 return (False, 0)
-            success = yield from api.scwait(self.head_addr, first)
-            if success:
-                value = yield from api.lw(self._value_addr(first))
-                return (True, value)
+            resp = yield MemCmd(SCWAIT, self.head_addr, first)
+            if resp.status is OK:
+                resp = yield MemCmd(LW, self._value_addr(first))
+                return (True, resp.value)
             attempt += 1
 
     # -- verification helpers -----------------------------------------------------------
@@ -230,6 +234,7 @@ def queue_worker_kernel(queue: ConcurrentQueue, api: CoreApi, ops: int,
     retires one operation; empty dequeues retry after a short think.
     Values encode ``(core, sequence)`` so tests can check conservation.
     """
+    think = Compute(think_cycles)
     sequence = 0
     for op_index in range(ops):
         if op_index % 2 == 0:
@@ -241,6 +246,6 @@ def queue_worker_kernel(queue: ConcurrentQueue, api: CoreApi, ops: int,
                 ok, _value = yield from queue.dequeue(api)
                 if ok:
                     break
-                yield from api.compute(think_cycles)
-        yield from api.retire()
-        yield from api.compute(think_cycles)
+                yield think
+        yield RETIRE
+        yield think

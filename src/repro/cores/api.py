@@ -12,8 +12,8 @@ executes an instruction stream:
   application-level operation (a histogram update, a queue access);
   this feeds the throughput y-axes of Figs. 3, 4 and 6.
 
-:class:`CoreApi` wraps the raw commands in ergonomic helpers used with
-``yield from``::
+:class:`CoreApi` wraps the raw commands in ergonomic helpers, for user
+kernels, tests and examples, used with ``yield from``::
 
     def my_kernel(api):
         value = yield from api.lw(addr)
@@ -25,6 +25,13 @@ The API also enforces the software-visible rules of the LRSCwait
 extension: :meth:`CoreApi.lrwait` returns the raw response so callers
 must handle :data:`Status.QUEUE_FULL`, while :meth:`CoreApi.scwait`
 reports success as a bool like RISC-V's SC rd value.
+
+Each helper is one more generator per command.  The library's kernels
+(:mod:`repro.sync.rmw`, :mod:`repro.sync.locks`, the queue and the
+histogram) therefore yield the commands directly, ``resp = yield
+MemCmd(LW, addr)``, and read ``resp.value``/``resp.status``; a
+``Compute`` of zero cycles schedules nothing, like :meth:`CoreApi.compute`,
+and :data:`RETIRE` is the shared ``Retire(1)``.
 """
 
 from __future__ import annotations
@@ -162,9 +169,10 @@ class CoreApi:
 
     def mwait(self, addr: int, expected: int):
         """Sleep until ``addr`` differs from ``expected``; returns the
-        observed value (or the full response's value on QUEUE_FULL —
-        callers on bounded hardware should re-check and fall back to
-        polling; see :class:`MemResponse.status`)."""
+        full :class:`MemResponse`: ``value`` is the observed value, and
+        a ``status`` of :data:`Status.QUEUE_FULL` means bounded hardware
+        rejected the monitor, so callers should re-check and fall back
+        to polling."""
         resp = yield MemCmd(MWAIT, addr, expected=expected)
         return resp
 

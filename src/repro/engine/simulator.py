@@ -40,7 +40,12 @@ request, so that chain is kept to one call per hop, each touching its
 object once.  A request climbs
 
 * the kernel's generator: one RMW kernel is one generator
-  (:mod:`repro.sync.rmw`), so the core resumes one frame per command;
+  (:mod:`repro.sync.rmw`), so the core resumes one frame per command.
+  Library kernels (the RMW loops, the locks, the queue) yield their
+  ``MemCmd``/``Compute``/``RETIRE`` commands themselves: a
+  :class:`~repro.cores.api.CoreApi` helper would add one generator per
+  command, while a ``yield from lock.acquire(api)`` level costs only a
+  delegation;
 * ``Core._advance``, which issues the command (the request object, the
   counters, the 1-cycle issue-stage entry), and after that stage
   ``Core._send``, which decodes the bank inline;
@@ -58,7 +63,17 @@ subscriber is attached, and every observation site on that chain is
 one load and one ``is not None`` branch on the
 :class:`~repro.telemetry.hub.Telemetry` hub, the simulator's only
 recording path.  ``tests/engine/test_call_budget.py``
-pins the number of calls per request for each RMW method.
+pins the number of calls per request for each RMW method, lock and
+queue method.
+
+Function bodies on the request path name the members of ``Op`` and
+``Status`` through the module-level names of
+:mod:`repro.interconnect.messages` (``LW`` … ``MWAIT``, ``OK``,
+``SC_FAIL``, ``QUEUE_FULL``): on Python <= 3.11 ``EnumType`` defines
+``__getattr__``, so each ``Op.X`` load takes the slow slot hook (about
+100 ns against 10 ns for a global on 3.11).  The hook runs no Python
+code, so the call budget cannot see it;
+``tests/engine/test_enum_loads.py`` guards the source instead.
 
 Those hops push onto :attr:`Simulator.ring` / :attr:`Simulator.far`
 directly, in the one push shape :meth:`Simulator.schedule` uses: tick

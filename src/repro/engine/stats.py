@@ -45,7 +45,8 @@ class CoreStats:
     #: LRwait/Mwait requests rejected because the hardware queue was full.
     wait_rejections: int = 0
     #: Completed application-level operations (histogram updates,
-    #: queue accesses...).  Kernels bump this through ``CoreApi.retire()``.
+    #: queue accesses...).  Kernels bump this by yielding a ``Retire``
+    #: command (``RETIRE``, or ``CoreApi.retire()`` in user kernels).
     ops_completed: int = 0
 
     @property

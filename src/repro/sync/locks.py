@@ -28,12 +28,21 @@ allocate the lock's memory, so example code reads naturally::
         yield from lock.acquire(api)
         ...  # critical section
         yield from lock.release(api)
+
+Like the loops of :mod:`repro.sync.rmw`, the lock methods yield the
+core's commands (:class:`~repro.cores.api.MemCmd`,
+:class:`~repro.cores.api.Compute`) themselves instead of going through
+the :class:`~repro.cores.api.CoreApi` helpers, and read ``.value`` and
+``.status`` from the responses; the commands, their cycle counts and
+the ``api.rng`` draws are exactly those of the helpers.  A ``Compute``
+of zero cycles schedules no event, like the helper that skipped it.
 """
 
 from __future__ import annotations
 
-from ..cores.api import CoreApi
-from ..interconnect.messages import QUEUE_FULL
+from ..cores.api import Compute, CoreApi, MemCmd
+from ..interconnect.messages import (
+    AMO_ADD, AMO_SWAP, LR, LRWAIT, LW, MWAIT, OK, QUEUE_FULL, SC, SCWAIT, SW)
 from .backoff import (
     ExponentialBackoff,
     FixedBackoff,
@@ -75,25 +84,25 @@ class AmoSpinLock:
         """TTAS loop: test until free, then swap; repeat on lost races."""
         races = 0
         # Optimistic first grab: free-lock acquisitions cost one AMO.
-        old = yield from api.amo_swap(self.lock_addr, LOCKED)
-        if old == UNLOCKED:
+        resp = yield MemCmd(AMO_SWAP, self.lock_addr, LOCKED)
+        if resp.value == UNLOCKED:
             return
         attempt = 0
         while True:
-            value = yield from api.lw(self.lock_addr)
-            if value == UNLOCKED:
-                old = yield from api.amo_swap(self.lock_addr, LOCKED)
-                if old == UNLOCKED:
+            resp = yield MemCmd(LW, self.lock_addr)
+            if resp.value == UNLOCKED:
+                resp = yield MemCmd(AMO_SWAP, self.lock_addr, LOCKED)
+                if resp.value == UNLOCKED:
                     return
                 races += 1
-                yield from api.compute(HERD_BACKOFF.delay(api.rng, races))
+                yield Compute(HERD_BACKOFF.delay(api.rng, races))
                 continue
-            yield from api.compute(self.backoff.delay(api.rng, attempt))
+            yield Compute(self.backoff.delay(api.rng, attempt))
             attempt += 1
 
     def release(self, api: CoreApi):
         """Store UNLOCKED; a plain store suffices for TAS locks."""
-        yield from api.sw(self.lock_addr, UNLOCKED)
+        yield MemCmd(SW, self.lock_addr, UNLOCKED)
 
 
 class LrscSpinLock:
@@ -120,22 +129,22 @@ class LrscSpinLock:
         attempt = 0
         races = 0
         while True:
-            value = yield from api.lr(self.lock_addr)
-            if value == UNLOCKED:
-                success = yield from api.sc(self.lock_addr, LOCKED)
-                if success:
+            resp = yield MemCmd(LR, self.lock_addr)
+            if resp.value == UNLOCKED:
+                resp = yield MemCmd(SC, self.lock_addr, LOCKED)
+                if resp.status is OK:
                     return
                 races += 1
-                yield from api.compute(HERD_BACKOFF.delay(api.rng, races))
+                yield Compute(HERD_BACKOFF.delay(api.rng, races))
                 continue
             # RISC-V allows abandoning a reservation without an SC, so
             # the taken-lock path just backs off and retries the LR.
-            yield from api.compute(self.backoff.delay(api.rng, attempt))
+            yield Compute(self.backoff.delay(api.rng, attempt))
             attempt += 1
 
     def release(self, api: CoreApi):
         """Store UNLOCKED."""
-        yield from api.sw(self.lock_addr, UNLOCKED)
+        yield MemCmd(SW, self.lock_addr, UNLOCKED)
 
 
 class ColibriSpinLock:
@@ -161,25 +170,24 @@ class ColibriSpinLock:
         """LRwait the word; SCwait 1 when free, else write back and retry."""
         attempt = 0
         while True:
-            resp = yield from api.lrwait(self.lock_addr)
+            resp = yield MemCmd(LRWAIT, self.lock_addr)
             if resp.status is QUEUE_FULL:
-                yield from api.compute(
-                    self.full_backoff.delay(api.rng, attempt))
+                yield Compute(self.full_backoff.delay(api.rng, attempt))
                 attempt += 1
                 continue
             if resp.value == UNLOCKED:
-                success = yield from api.scwait(self.lock_addr, LOCKED)
-                if success:
+                resp = yield MemCmd(SCWAIT, self.lock_addr, LOCKED)
+                if resp.status is OK:
                     return
             else:
                 # Mandatory queue-yielding SCwait (unchanged value).
-                yield from api.scwait(self.lock_addr, resp.value)
-                yield from api.compute(self.backoff.delay(api.rng, attempt))
+                yield MemCmd(SCWAIT, self.lock_addr, resp.value)
+                yield Compute(self.backoff.delay(api.rng, attempt))
             attempt += 1
 
     def release(self, api: CoreApi):
         """Store UNLOCKED."""
-        yield from api.sw(self.lock_addr, UNLOCKED)
+        yield MemCmd(SW, self.lock_addr, UNLOCKED)
 
 
 class MwaitMcsLock:
@@ -233,37 +241,38 @@ class MwaitMcsLock:
     def acquire(self, api: CoreApi):
         """Enqueue own node; sleep on the flag if there is a predecessor."""
         next_addr, flag_addr = self._node(api)
-        yield from api.sw(next_addr, self.NIL)
-        yield from api.sw(flag_addr, 0)
-        predecessor = yield from api.amo_swap(self.tail_addr,
-                                              self.node_addrs[api.core_id])
+        yield MemCmd(SW, next_addr, self.NIL)
+        yield MemCmd(SW, flag_addr, 0)
+        resp = yield MemCmd(AMO_SWAP, self.tail_addr, next_addr)
+        predecessor = resp.value
         if predecessor == self.NIL:
             return  # lock was free
         # Link behind the predecessor, then sleep until woken.
-        yield from api.sw(predecessor, self.node_addrs[api.core_id])
+        yield MemCmd(SW, predecessor, next_addr)
         yield from self._wait_flag(api, flag_addr)
 
     def _wait_flag(self, api: CoreApi, flag_addr: int):
         """Mwait on the own flag, falling back to polling on QUEUE_FULL."""
+        monitor = MemCmd(MWAIT, flag_addr, expected=0)
         attempt = 0
         while True:
-            resp = yield from api.mwait(flag_addr, expected=0)
+            resp = yield monitor
             if resp.status is not QUEUE_FULL:
                 if resp.value != 0:
                     return
                 continue  # spurious: value unchanged, monitor again
             # Bounded hardware rejected the monitor: poll politely.
-            value = yield from api.lw(flag_addr)
-            if value != 0:
+            resp = yield MemCmd(LW, flag_addr)
+            if resp.value != 0:
                 return
-            yield from api.compute(
-                self.fallback_backoff.delay(api.rng, attempt))
+            yield Compute(self.fallback_backoff.delay(api.rng, attempt))
             attempt += 1
 
     def release(self, api: CoreApi):
         """Hand the lock to the successor, or swing the tail back to NIL."""
         next_addr, _flag_addr = self._node(api)
-        successor = yield from api.lw(next_addr)
+        resp = yield MemCmd(LW, next_addr)
+        successor = resp.value
         if successor == self.NIL:
             # Appear to be last: CAS(tail, own node, NIL) via LRSCwait.
             swung = yield from self._try_swing_tail(api)
@@ -271,39 +280,38 @@ class MwaitMcsLock:
                 return
             # A racing enqueuer took the tail; wait for its link.
             successor = yield from self._await_successor(api, next_addr)
-        yield from api.sw(successor + self.flag_stride, 1)
+        yield MemCmd(SW, successor + self.flag_stride, 1)
 
     def _try_swing_tail(self, api: CoreApi):
         """CAS tail from own node to NIL; returns True on success."""
         own = self.node_addrs[api.core_id]
         attempt = 0
         while True:
-            resp = yield from api.lrwait(self.tail_addr)
+            resp = yield MemCmd(LRWAIT, self.tail_addr)
             if resp.status is QUEUE_FULL:
-                yield from api.compute(
-                    self.fallback_backoff.delay(api.rng, attempt))
+                yield Compute(self.fallback_backoff.delay(api.rng, attempt))
                 attempt += 1
                 continue
             if resp.value == own:
-                success = yield from api.scwait(self.tail_addr, self.NIL)
-                if success:
+                resp = yield MemCmd(SCWAIT, self.tail_addr, self.NIL)
+                if resp.status is OK:
                     return True
                 continue
             # Tail moved on: write back unchanged to drain the queue.
-            yield from api.scwait(self.tail_addr, resp.value)
+            yield MemCmd(SCWAIT, self.tail_addr, resp.value)
             return False
 
     def _await_successor(self, api: CoreApi, next_addr: int):
         """Sleep (Mwait) until the successor links itself behind us."""
+        monitor = MemCmd(MWAIT, next_addr, expected=self.NIL)
         attempt = 0
         while True:
-            resp = yield from api.mwait(next_addr, expected=self.NIL)
+            resp = yield monitor
             if resp.status is QUEUE_FULL:
-                value = yield from api.lw(next_addr)
-                if value != self.NIL:
-                    return value
-                yield from api.compute(
-                    self.fallback_backoff.delay(api.rng, attempt))
+                resp = yield MemCmd(LW, next_addr)
+                if resp.value != self.NIL:
+                    return resp.value
+                yield Compute(self.fallback_backoff.delay(api.rng, attempt))
                 attempt += 1
                 continue
             if resp.value != self.NIL:
@@ -331,16 +339,18 @@ class TicketLock:
 
     def acquire(self, api: CoreApi):
         """Take a ticket, poll now-serving until it matches."""
-        ticket = yield from api.amo_add(self.ticket_addr, 1)
+        resp = yield MemCmd(AMO_ADD, self.ticket_addr, 1)
+        ticket = resp.value
+        poll = MemCmd(LW, self.serving_addr)
         attempt = 0
         while True:
-            serving = yield from api.lw(self.serving_addr)
-            if serving == ticket:
+            resp = yield poll
+            if resp.value == ticket:
                 return
-            yield from api.compute(self.backoff.delay(api.rng, attempt))
+            yield Compute(self.backoff.delay(api.rng, attempt))
             attempt += 1
 
     def release(self, api: CoreApi):
         """Advance now-serving (only the holder writes it)."""
-        serving = yield from api.lw(self.serving_addr)
-        yield from api.sw(self.serving_addr, serving + 1)
+        resp = yield MemCmd(LW, self.serving_addr)
+        yield MemCmd(SW, self.serving_addr, resp.value + 1)

@@ -62,8 +62,9 @@ from .backoff import (
 #: The ``method`` names :func:`add_loop` accepts.
 RMW_METHODS = ("amo", "lrsc", "wait")
 
-#: The default one-cycle modify step, shared by every update.
-_COMPUTE_1 = Compute(1)
+#: The default one-cycle modify step, shared by every update (the loops
+#: here and the histogram's lock kernel).
+COMPUTE_1 = Compute(1)
 
 #: The one-element index stream of the single-word helpers.
 _ONE = (0,)
@@ -93,7 +94,7 @@ def lrsc_loop(api: CoreApi, base: int, word: int, indices: Iterable,
     trip plus the backoff wait — the polling/retry traffic LRSCwait
     eliminates.
     """
-    think = _COMPUTE_1 if compute_cycles == 1 else Compute(compute_cycles)
+    think = COMPUTE_1 if compute_cycles == 1 else Compute(compute_cycles)
     old = None
     for index in indices:
         addr = base + index * word
@@ -128,7 +129,7 @@ def wait_loop(api: CoreApi, base: int, word: int, indices: Iterable,
     sequence retries.  A ``QUEUE_FULL`` bounce retries after a short
     randomized wait.  Returns the old value of the last update.
     """
-    think = _COMPUTE_1 if compute_cycles == 1 else Compute(compute_cycles)
+    think = COMPUTE_1 if compute_cycles == 1 else Compute(compute_cycles)
     old = None
     for index in indices:
         addr = base + index * word

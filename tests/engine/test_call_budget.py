@@ -6,8 +6,11 @@ timing of that chain is noisy, but its length is exact: this counts,
 with :func:`sys.setprofile`, the ``"call"`` events of code defined
 under ``src/repro`` (generator resumptions included) inside
 ``machine.run()``, and divides them by the requests the cores issued.
-Each workload is a 16-core histogram on one bin, 32 updates per core,
-so start-up is amortized.
+Each workload runs 32 operations on each of 16 cores, so start-up is
+amortized: a histogram on one bin updated through an RMW method
+(``amo``, ``lrsc``, ``wait``) or through a lock (``lock:<name>``, the
+Fig. 4 contenders of ``LOCK_CLASSES``), or the Fig. 6 queue
+(``queue:<method>``).
 
 The budgets are the ratios of the current code (the same on Python
 3.10-3.13); a change that lengthens the chain must raise one
@@ -22,7 +25,9 @@ import pytest
 import repro
 from repro import Machine, SystemConfig
 from repro.algorithms.histogram import Histogram
+from repro.algorithms.mcs_queue import ConcurrentQueue, queue_worker_kernel
 from repro.scenarios.spec import parse_variant
+from repro.scenarios.workloads import LOCK_CLASSES
 
 SRC = os.path.dirname(repro.__file__) + os.sep
 
@@ -32,15 +37,40 @@ BUDGETS = {
     ("colibri", "wait"): 23.90,
     ("amo", "amo"): 14.03,
     ("lrscwait:ideal", "wait"): 16.42,
+    ("colibri", "lock:mcs"): 13.63,
+    ("lrsc", "lock:lrsc"): 12.96,
+    ("amo", "lock:amo"): 13.80,
+    ("colibri", "lock:colibri"): 21.49,
+    ("lrsc", "queue:lrsc"): 13.10,
+    ("colibri", "queue:wait"): 18.20,
+    ("amo", "queue:lock"): 15.85,
 }
 
 
-def calls_per_request(variant: str, method: str, updates: int = 32) -> float:
+def load(machine: Machine, method: str, ops: int):
+    """Load every core with the ``method`` workload; returns its check."""
+    kind, _, name = method.partition(":")
+    if kind == "queue":
+        queue = ConcurrentQueue(machine, name, nodes_per_core=ops // 2 + 2)
+        machine.load_all(lambda api: queue_worker_kernel(queue, api, ops))
+
+        def check(stats):
+            done = sum(core.ops_completed for core in stats.cores)
+            assert done == machine.config.num_cores * ops
+
+        return check
+    histogram = Histogram(machine, 1)
+    if kind == "lock":
+        histogram.attach_locks(LOCK_CLASSES[name])
+    machine.load_all(histogram.kernel_factory(kind, ops))
+    return lambda stats: histogram.verify(machine.config.num_cores * ops)
+
+
+def calls_per_request(variant: str, method: str, ops: int = 32) -> float:
     """Profiled calls under ``src/repro`` per issued request."""
     machine = Machine(SystemConfig.scaled(16), parse_variant(variant, 16),
                       seed=0)
-    histogram = Histogram(machine, 1)
-    machine.load_all(histogram.kernel_factory(method, updates))
+    check = load(machine, method, ops)
     calls = 0
     ours: dict = {}
 
@@ -59,7 +89,7 @@ def calls_per_request(variant: str, method: str, updates: int = 32) -> float:
         stats = machine.run()
     finally:
         sys.setprofile(previous)
-    histogram.verify(16 * updates)
+    check(stats)
     requests = sum(sum(core.requests.values()) for core in stats.cores)
     return calls / requests
 
